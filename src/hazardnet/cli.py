@@ -151,15 +151,14 @@ def generate(family, scale, avg_degree, model, lo, hi, p_neg, seed, out) -> None
 @_shaping_options
 @_baseline_options
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 @_runtime_errors
 def simulate(network, cascades, window, shaping, delta, baseline, a0, epsilon,
-             seed, threads, out) -> None:
+             seed, out) -> None:
     """Sample cascades from a stored network."""
     net = read_network(ensure_exists(network, "network file"))
     model = _model_for(net.kind, shaping, delta, baseline, a0, epsilon)
-    cs = simulate_set(net, model, cascades, window, rng_seed=seed, workers=threads)
+    cs = simulate_set(net, model, cascades, window, rng_seed=seed)
     write_cascades(out, cs, metadata={"seed": seed, "network": network})
     click.echo(f"wrote {len(cs)} cascades over window {window} to {out}")
 
@@ -244,7 +243,6 @@ def evaluate(true_network, inferred_network, threshold, out) -> None:
 @_shaping_options
 @_baseline_options
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--train-out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Also write the train split (e.g. to feed `infer`).")
 @click.option("--test-out", type=click.Path(dir_okay=False, writable=True), default=None)
@@ -253,7 +251,7 @@ def evaluate(true_network, inferred_network, threshold, out) -> None:
               help="Prefix for the sizes/durations/summary CSVs.")
 @_runtime_errors
 def predict(network, cascades_path, test_fraction, shaping, delta, baseline, a0, epsilon,
-            seed, threads, train_out, test_out, split_only, out_prefix) -> None:
+            seed, train_out, test_out, split_only, out_prefix) -> None:
     """Split cascades, simulate from a trained network at the held-out
     sources, and compare size/duration distributions."""
     cs = read_cascades(ensure_exists(cascades_path, "cascade file"))
@@ -272,7 +270,7 @@ def predict(network, cascades_path, test_fraction, shaping, delta, baseline, a0,
     net = read_network(ensure_exists(network, "network file"))
     model = _model_for(net.kind, shaping, delta, baseline, a0, epsilon)
     simulated, (test_summary, sim_summary) = predict_distributions(
-        net, model, test, rng_seed=seed + 1, workers=threads
+        net, model, test, rng_seed=seed + 1
     )
     write_csv(
         f"{out_prefix}.sizes.csv",

@@ -173,7 +173,6 @@ def predict_distributions(
     model: ShapingFunction | Baseline,
     test: CascadeSet,
     rng_seed: int = 0,
-    workers: int = 1,
 ) -> tuple[CascadeSet, tuple[DistributionSummary, DistributionSummary]]:
     """Simulate one cascade per held-out cascade, from its true source, over
     the held-out window, and summarize both sets against each other."""
@@ -181,7 +180,6 @@ def predict_distributions(
         raise ValueError("trained network and test set cover different universes")
     sources = [c.source for c in test]
     simulated = simulate_set(
-        trained, model, len(test), test.window, sources=sources, rng_seed=rng_seed,
-        workers=workers,
+        trained, model, len(test), test.window, sources=sources, rng_seed=rng_seed
     )
     return simulated, (summarize_cascades(test, simulated), summarize_cascades(simulated, test))

@@ -144,17 +144,20 @@ class Baseline:
             out = self.scale * np.log(np.maximum(hi, eps) / np.maximum(lo, eps))
         return _match_input(out)
 
-    def invert_integral(self, a: float, target: float) -> float:
-        """Smallest t >= a with integral(a, t) == target.
+    def invert_integral(self, a, target) -> np.ndarray | float:
+        """Smallest t >= a with integral(a, t) == target, elementwise.
 
         Exact inverse of :meth:`integral`; every variant has unbounded mass,
-        so a solution always exists for finite targets.
+        so a solution always exists for finite targets. It is inf, without a
+        warning, where it lies beyond the float range.
         """
-        if target <= 0.0:
-            return float(a)
-        if self.variant == CONSTANT:
-            return float(a + target / self.scale)
-        if self.variant == LINEAR:
-            return float(math.sqrt(max(a, 0.0) ** 2 + 2.0 * target / self.scale))
-        start = max(a, self.epsilon)
-        return float(start * math.exp(target / self.scale))
+        lo = np.asarray(a, dtype=np.float64)
+        mass = np.asarray(target, dtype=np.float64)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.variant == CONSTANT:
+                out = lo + mass / self.scale
+            elif self.variant == LINEAR:
+                out = np.sqrt(np.maximum(lo, 0.0) ** 2 + 2.0 * mass / self.scale)
+            else:
+                out = np.maximum(lo, self.epsilon) * np.exp(mass / self.scale)
+        return _match_input(np.where(mass <= 0.0, lo, out))

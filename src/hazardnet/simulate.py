@@ -1,24 +1,31 @@
 """Synthetic ground truth: Kronecker networks, random edge parameters, and
 exact cascade sampling.
 
-Sampling draws one uniform per node up front and inverts the node's
-piecewise cumulative hazard at -log(1 - u), i.e. maps the uniform through
-the inverse CDF. Because the uniform is fixed, the tentative infection time
-is a pure function of the committed history, so the event loop (commit
-earliest, refresh nodes whose hazard changed) produces a sample that does
-not depend on the refresh schedule.
+Sampling draws one uniform per node up front and infects the node when its
+cumulative hazard reaches -log(1 - u), i.e. maps the uniform through the
+inverse CDF. Every node carries a running state of the hazard its infected
+parents have built up: the sums of alpha, alpha * t_j and alpha * t_j**2
+over its parents for the exponential and rayleigh kernels; the hazard spent
+up to its latest parent, that parent's time and the log-multiplier since
+then for a baseline. When an event commits, every susceptible node the new
+infection touches updates its state and has its tentative time re-inverted
+in closed form, all in one array pass. Only power-kernel targets with
+several parents are solved one by one, by bisection.
+
+A state changes only when a parent with nonzero influence arrives, so a
+tentative time is a pure function of that node's own parents and the
+sampled cascade does not depend on the refresh schedule.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .shaping import Baseline, POWER, ShapingFunction
+from .shaping import Baseline, POWER, RAYLEIGH, ShapingFunction
 from .types import ADDITIVE, MULTIPLICATIVE, Cascade, CascadeSet, Network
 
 KRONECKER_SEEDS = {
@@ -150,19 +157,21 @@ def _bisect(fn, lo: float, hi: float, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _invert_additive(
+def _invert_power(
     shaping: ShapingFunction,
     parent_times: np.ndarray,
     alphas: np.ndarray,
     target: float,
     t_max: float,
 ) -> float:
-    """Earliest t <= t_max with cumulative additive hazard == target."""
-    live = alphas > 0.0
-    parent_times, alphas = parent_times[live], alphas[live]
-    if parent_times.size == 0 or not math.isfinite(target):
-        return math.inf
-    starts = parent_times + shaping.delta if shaping.variant == POWER else parent_times
+    """Earliest t <= t_max at which the power-kernel hazard of several
+    parents (every alpha > 0) reaches ``target``; inf when it does not.
+
+    Each parent switches on ``delta`` after its infection. The crossing is
+    located on the grid of switch-on points, then solved in closed form if
+    one parent is live there and by bisection otherwise.
+    """
+    starts = parent_times + shaping.delta
     points = np.unique(starts[starts < t_max])
     if points.size == 0:
         return math.inf
@@ -179,51 +188,117 @@ def _invert_additive(
         return a
     active = starts <= a
     act_times, act_alphas = parent_times[active], alphas[active]
-    if shaping.variant == POWER and act_times.size > 1:
+    if act_times.size > 1:
         lam = lambda t: float(act_alphas @ np.asarray(shaping.cumulative(act_times, t)))
         return _bisect(lam, a, b, float(cumhaz[seg - 1]) + residual)
-    if shaping.variant == POWER:
-        tp = float(act_times[0])
-        return tp + (a - tp) * math.exp(residual / float(act_alphas[0]))
-    s0 = float(act_alphas.sum())
-    if shaping.variant == "exponential":
-        return a + residual / s0
-    s1 = float(act_alphas @ act_times)
-    disc = s1 * s1 + 2.0 * s0 * (residual + 0.5 * s0 * a * a - s1 * a)
-    return (s1 + math.sqrt(max(disc, 0.0))) / s0
+    tp = float(act_times[0])
+    return tp + (a - tp) * math.exp(residual / float(act_alphas[0]))
 
 
-def _invert_multiplicative(
-    baseline: Baseline,
-    parent_times: np.ndarray,
-    alphas: np.ndarray,
-    target: float,
-    t_max: float,
-) -> float:
-    """Earliest t <= t_max with cumulative multiplicative hazard == target."""
-    if not math.isfinite(target):
-        return math.inf
-    # zero-influence parents leave the hazard unchanged; dropping them keeps
-    # the piecewise evaluation independent of the refresh schedule
-    keep = (parent_times < t_max) & (alphas != 0.0)
-    parent_times, alphas = parent_times[keep], alphas[keep]
-    if parent_times.size == 0 or parent_times[0] > 0.0:
-        parent_times = np.concatenate([[0.0], parent_times])
-        alphas = np.concatenate([[0.0], alphas])
-    lefts = parent_times
-    rights = np.concatenate([lefts[1:], [t_max]])
-    mults = np.exp(np.cumsum(alphas))
-    pieces = mults * np.asarray(baseline.integral(lefts, rights))
-    cumhaz = np.cumsum(pieces)
-    if cumhaz[-1] < target:
-        return math.inf
-    seg = int(np.searchsorted(cumhaz, target, side="left"))
-    before = float(cumhaz[seg - 1]) if seg > 0 else 0.0
-    residual = target - before
-    if residual <= 0.0:
-        return float(lefts[seg])
-    t = baseline.invert_integral(float(lefts[seg]), residual / float(mults[seg]))
-    return min(t, float(rights[seg]))
+class _KernelSums:
+    """Hazard state of each target under the exponential or rayleigh kernel.
+
+    s0, s1 and s2 are the sums of alpha, alpha * t_j and alpha * t_j**2 over
+    the target's infected parents. From its latest parent on, the cumulative
+    hazard is s0*t - s1 (exponential) or (s0*t**2 - 2*s1*t + s2) / 2
+    (rayleigh), and the tentative time is that curve's root at the target.
+    """
+
+    def __init__(self, shaping: ShapingFunction, targets: np.ndarray) -> None:
+        self.rayleigh = shaping.variant == RAYLEIGH
+        self.targets = targets
+        self.s0, self.s1, self.s2 = (np.zeros(targets.size) for _ in range(3))
+
+    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
+        self.s0[idx] += alphas
+        self.s1[idx] += alphas * t
+        if self.rayleigh:
+            self.s2[idx] += alphas * (t * t)
+
+    def times(self, idx: np.ndarray) -> np.ndarray:
+        s0, top = self.s0[idx], self.s1[idx]
+        if self.rayleigh:
+            disc = top * top - s0 * self.s2[idx] + 2.0 * s0 * self.targets[idx]
+            top += np.sqrt(np.maximum(disc, 0.0))
+        else:
+            top += self.targets[idx]
+        return np.divide(top, s0, out=np.full(idx.size, math.inf), where=s0 > 0.0)
+
+
+class _PowerKernel:
+    """Hazard state of each target under the power kernel.
+
+    A target with one parent, infected at t_p with rate alpha, has the
+    closed-form time t_p + delta * exp(target / alpha). Targets with several
+    parents keep their (t_j, alpha) lists for :func:`_invert_power`.
+    """
+
+    def __init__(self, shaping: ShapingFunction, targets: np.ndarray, window: float) -> None:
+        self.shaping, self.targets, self.window = shaping, targets, window
+        self.count = np.zeros(targets.size, dtype=np.int64)
+        self.last_time, self.last_alpha = np.zeros(targets.size), np.zeros(targets.size)
+        self.parents: list[list[tuple[float, float]]] = [[] for _ in range(targets.size)]
+
+    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
+        self.count[idx] += 1
+        self.last_time[idx] = t
+        self.last_alpha[idx] = alphas
+        for k, alpha in zip(idx.tolist(), alphas.tolist()):
+            self.parents[k].append((t, alpha))
+
+    def times(self, idx: np.ndarray) -> np.ndarray:
+        count = self.count[idx]
+        out = np.full(idx.size, math.inf)
+        lone = idx[count == 1]
+        with np.errstate(over="ignore"):
+            growth = np.exp(self.targets[lone] / self.last_alpha[lone])
+        out[count == 1] = self.last_time[lone] + self.shaping.delta * growth
+        for j in np.flatnonzero(count > 1).tolist():
+            times, alphas = np.array(self.parents[idx[j]]).T
+            out[j] = _invert_power(self.shaping, times, alphas, self.targets[idx[j]], self.window)
+        return out
+
+
+class _BaselineExposure:
+    """Hazard state of each target under a multiplicative baseline.
+
+    ``spent`` is the cumulative hazard up to ``since``, the time of the
+    target's latest nonzero parent, and ``log_mult`` the sum of its parents'
+    influences in force from then on. The tentative time inverts the
+    baseline integral from ``since`` at (target - spent) / exp(log_mult).
+    """
+
+    def __init__(self, baseline: Baseline, targets: np.ndarray) -> None:
+        self.baseline, self.targets = baseline, targets
+        self.spent, self.since, self.log_mult = (np.zeros(targets.size) for _ in range(3))
+
+    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
+        since = self.since[idx]
+        self.spent[idx] += np.exp(self.log_mult[idx]) * self.baseline.integral(since, t)
+        self.since[idx] = t
+        self.log_mult[idx] += alphas
+
+    def times(self, idx: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", divide="ignore"):
+            mass = (self.targets[idx] - self.spent[idx]) / np.exp(self.log_mult[idx])
+        return self.baseline.invert_integral(self.since[idx], mass)
+
+
+def _running_hazard(model: ShapingFunction | Baseline, targets: np.ndarray, window: float):
+    """Fresh hazard state, before any parent, for nodes with these targets."""
+    if isinstance(model, Baseline):
+        return _BaselineExposure(model, targets)
+    if model.variant == POWER:
+        return _PowerKernel(model, targets, window)
+    return _KernelSums(model, targets)
+
+
+def _check_pairing(net: Network, model: ShapingFunction | Baseline) -> None:
+    if isinstance(model, ShapingFunction):
+        if net.kind != ADDITIVE:
+            raise ValueError("shaping functions pair with additive networks")
+    elif net.kind != MULTIPLICATIVE:
+        raise ValueError("baselines pair with multiplicative networks")
 
 
 def infection_time_from_uniform(
@@ -237,23 +312,26 @@ def infection_time_from_uniform(
     """Infection time of ``node`` implied by uniform draw ``u``, given a fixed
     history of parent infections; inf when the node survives past ``t_max``.
 
-    This is the per-node inversion step the cascade sampler is built on,
-    exposed so its law can be tested against the closed-form CDFs.
+    The history is replayed through the cascade sampler's own state update
+    for this one node, so this is the sampler's inversion step, exposed so
+    its law can be tested against the closed-form CDFs.
     """
     if not (0.0 <= u < 1.0):
         raise ValueError("u must lie in [0, 1)")
     if np.any(history.nodes == node):
         raise ValueError("node is already part of the history")
-    target = -math.log1p(-u)  # quantile map: t solves F(t) = u
-    alphas = net.params[history.nodes, node]
-    times = np.asarray(history.times, dtype=np.float64)
-    if isinstance(model, ShapingFunction):
-        if net.kind != ADDITIVE:
-            raise ValueError("shaping functions pair with additive networks")
-        return _invert_additive(model, times, alphas, target, t_max)
-    if net.kind != MULTIPLICATIVE:
-        raise ValueError("baselines pair with multiplicative networks")
-    return _invert_multiplicative(model, times, alphas, target, t_max)
+    _check_pairing(net, model)
+    state = _running_hazard(model, np.array([-math.log1p(-u)]), t_max)
+    only = np.zeros(1, dtype=np.int64)
+    t = float(state.times(only)[0])
+    for parent, t_parent in zip(history.nodes.tolist(), history.times.tolist()):
+        if t <= t_parent:
+            break  # infected before this parent arrives
+        alpha = float(net.params[parent, node])
+        if alpha != 0.0:
+            state.add_parent(only, np.array([alpha]), t_parent)
+            t = float(state.times(only)[0])
+    return t if t <= t_max else math.inf
 
 
 def _draw_targets(u: np.ndarray) -> np.ndarray:
@@ -281,62 +359,42 @@ def simulate_cascade(
         raise ValueError(f"source {source} outside universe of {N} nodes")
     if not window > 0.0:
         raise ValueError("window must be positive")
-    additive = isinstance(model, ShapingFunction)
-    if additive and net.kind != ADDITIVE:
-        raise ValueError("shaping functions pair with additive networks")
-    if not additive and net.kind != MULTIPLICATIVE:
-        raise ValueError("baselines pair with multiplicative networks")
+    _check_pairing(net, model)
     if uniforms is None:
         uniforms = np.random.default_rng(rng_seed).random(N)
     else:
         uniforms = np.asarray(uniforms, dtype=np.float64)
         if uniforms.shape != (N,) or np.any(uniforms < 0.0) or np.any(uniforms >= 1.0):
             raise ValueError("uniforms must be N values in [0, 1)")
-    targets = _draw_targets(uniforms)
+    state = _running_hazard(model, _draw_targets(uniforms), window)
 
     hist_nodes = np.empty(N, dtype=np.int64)
     hist_times = np.empty(N, dtype=np.float64)
-    hist_nodes[0], hist_times[0] = source, 0.0
-    count = 1
+    count = 0
     susceptible = np.ones(N, dtype=bool)
-    susceptible[source] = False
     tentative = np.full(N, math.inf)
-
-    def refresh(node: int) -> None:
-        times = hist_times[:count]
-        alphas = net.params[hist_nodes[:count], node]
-        if additive:
-            tentative[node] = _invert_additive(model, times, alphas, targets[node], window)
-        else:
-            tentative[node] = _invert_multiplicative(model, times, alphas, targets[node], window)
-
-    def affected_by(infector: int) -> np.ndarray:
-        if recompute_all:
-            return np.nonzero(susceptible)[0]
-        return np.nonzero(susceptible & (net.params[infector] != 0.0))[0]
-
-    if additive and not recompute_all:
-        initial = np.nonzero(susceptible & (net.params[source] != 0.0))[0]
-    else:
-        initial = np.nonzero(susceptible)[0]
-    for node in initial:
-        refresh(node)
-
+    node, t = source, 0.0
     while True:
-        nxt = int(np.argmin(tentative))
-        t_next = float(tentative[nxt])
-        if not (t_next <= window):
-            break
-        if t_next <= hist_times[count - 1]:  # ulp-level ties keep the order strict
-            t_next = float(np.nextafter(hist_times[count - 1], math.inf))
-            if t_next > window:
-                break
-        hist_nodes[count], hist_times[count] = nxt, t_next
+        hist_nodes[count], hist_times[count] = node, t
         count += 1
-        susceptible[nxt] = False
-        tentative[nxt] = math.inf
-        for node in affected_by(nxt):
-            refresh(node)
+        susceptible[node] = False
+        tentative[node] = math.inf
+        row = net.params[node]
+        changed = (susceptible & (row != 0.0)).nonzero()[0]
+        if changed.size:
+            state.add_parent(changed, row[changed], t)
+        # the source's pass covers every node, since a baseline exposes them all
+        refresh = susceptible.nonzero()[0] if recompute_all or count == 1 else changed
+        if refresh.size:
+            tentative[refresh] = state.times(refresh)
+        node = int(tentative.argmin())
+        t = float(tentative[node])
+        if not (t <= window):
+            break
+        if t <= hist_times[count - 1]:  # ulp-level ties keep the order strict
+            t = float(np.nextafter(hist_times[count - 1], math.inf))
+            if t > window:
+                break
 
     return Cascade(hist_nodes[:count].copy(), hist_times[:count].copy())
 
@@ -348,13 +406,11 @@ def simulate_set(
     window: float,
     sources: Sequence[int] | None = None,
     rng_seed: int = 0,
-    workers: int = 1,
 ) -> CascadeSet:
     """Sample independent cascades; deterministic in ``rng_seed``.
 
     Sources are drawn uniformly at random unless given. Each cascade uses a
-    seed spawned from ``rng_seed`` by index, so results are identical for
-    any ``workers`` count.
+    seed spawned from ``rng_seed`` by index.
     """
     if num_cascades < 0:
         raise ValueError("num_cascades must be nonnegative")
@@ -368,9 +424,4 @@ def simulate_set(
         source = int(sources[k]) if sources is not None else int(rng.integers(N))
         return simulate_cascade(net, model, source, window, uniforms=rng.random(N))
 
-    if workers > 1 and num_cascades > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cascades = list(pool.map(build, range(num_cascades)))
-    else:
-        cascades = [build(k) for k in range(num_cascades)]
-    return CascadeSet(N, window, tuple(cascades))
+    return CascadeSet(N, window, tuple(build(k) for k in range(num_cascades)))

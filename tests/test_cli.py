@@ -207,7 +207,7 @@ class TestFullPipeline:
                    "--avg-degree", 3, "--model", "additive", "--seed", 1,
                    "--out", true_net).exit_code == 0
         assert run(runner, "simulate", "--network", true_net, "--cascades", 800,
-                   "--window", 4, "--seed", 2, "--threads", 2, "--out", casc).exit_code == 0
+                   "--window", 4, "--seed", 2, "--out", casc).exit_code == 0
         assert run(runner, "infer", "--model", "additive", "--shaping", "exp",
                    "--cascades", casc, "--threads", 2, "--out", hat).exit_code == 0
         assert run(runner, "evaluate", "--true-network", true_net,

@@ -1,5 +1,7 @@
 """Shaping kernels and baseline families against quadrature oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,26 @@ class TestBaseline:
                 t = base.invert_integral(a, target)
                 assert t >= a
                 assert base.integral(a, t) == pytest.approx(target, rel=1e-9)
+
+    @pytest.mark.parametrize("variant", hn.BASELINE_VARIANTS)
+    def test_invert_integral_array_form_matches_scalar(self, variant):
+        base = hn.Baseline(variant, log_scale=0.3, epsilon=1e-3)
+        a = np.array([0.0, 0.4, 2.0, 1.0])
+        target = np.array([0.5, 1e-6, 3.0, -1.0])
+        got = base.invert_integral(a, target)
+        assert got.shape == (4,)
+        assert got[3] == 1.0  # a nonpositive target stays put
+        for k in range(4):
+            assert got[k] == pytest.approx(base.invert_integral(float(a[k]), float(target[k])))
+
+    def test_invert_integral_beyond_float_range_is_inf(self):
+        base = hn.Baseline(hn.INVERSE, log_scale=-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert base.invert_integral(1.0, 1.0) == np.inf
+            got = base.invert_integral(np.array([1.0, 1.0]), np.array([1.0, 1e-6]))
+        assert got[0] == np.inf
+        assert np.isfinite(got[1])
 
     def test_log_rate_matches_rate(self):
         for variant in hn.BASELINE_VARIANTS:

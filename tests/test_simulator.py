@@ -11,6 +11,158 @@ import hazardnet as hn
 EXP = hn.ShapingFunction(hn.EXPONENTIAL)
 CONST = hn.Baseline(hn.CONSTANT, 0.0)
 
+# One model per kernel and baseline family, for the reference comparisons.
+FAMILIES = {
+    hn.EXPONENTIAL: EXP,
+    hn.POWER: hn.ShapingFunction(hn.POWER, delta=0.5),
+    hn.RAYLEIGH: hn.ShapingFunction(hn.RAYLEIGH),
+    hn.CONSTANT: hn.Baseline(hn.CONSTANT, log_scale=-2.0),
+    hn.LINEAR: hn.Baseline(hn.LINEAR, log_scale=-2.0),
+    hn.INVERSE: hn.Baseline(hn.INVERSE, log_scale=-1.0),
+}
+
+
+# Per-node reference sampler: every refreshed target rebuilds its whole
+# piecewise cumulative hazard from the history and inverts it on its own.
+
+
+def reference_bisect(fn, lo, hi, target):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-10 * max(1.0, abs(hi)):
+            return mid
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_invert_additive(shaping, parent_times, alphas, target, t_max):
+    """Earliest t <= t_max with cumulative additive hazard == target."""
+    live = alphas > 0.0
+    parent_times, alphas = parent_times[live], alphas[live]
+    if parent_times.size == 0 or not math.isfinite(target):
+        return math.inf
+    starts = parent_times + shaping.delta if shaping.variant == hn.POWER else parent_times
+    points = np.unique(starts[starts < t_max])
+    if points.size == 0:
+        return math.inf
+    grid = np.concatenate([points, [t_max]])
+    cumhaz = alphas @ np.asarray(shaping.cumulative(parent_times[:, None], grid[None, :]))
+    if cumhaz[-1] < target:
+        return math.inf
+    seg = int(np.searchsorted(cumhaz, target, side="left"))
+    if seg == 0:
+        return float(grid[0])
+    a, b = float(grid[seg - 1]), float(grid[seg])
+    residual = target - float(cumhaz[seg - 1])
+    if residual <= 0.0:
+        return a
+    active = starts <= a
+    act_times, act_alphas = parent_times[active], alphas[active]
+    if shaping.variant == hn.POWER and act_times.size > 1:
+        lam = lambda t: float(act_alphas @ np.asarray(shaping.cumulative(act_times, t)))
+        return reference_bisect(lam, a, b, float(cumhaz[seg - 1]) + residual)
+    if shaping.variant == hn.POWER:
+        tp = float(act_times[0])
+        return tp + (a - tp) * math.exp(residual / float(act_alphas[0]))
+    s0 = float(act_alphas.sum())
+    if shaping.variant == hn.EXPONENTIAL:
+        return a + residual / s0
+    s1 = float(act_alphas @ act_times)
+    disc = s1 * s1 + 2.0 * s0 * (residual + 0.5 * s0 * a * a - s1 * a)
+    return (s1 + math.sqrt(max(disc, 0.0))) / s0
+
+
+def reference_invert_multiplicative(baseline, parent_times, alphas, target, t_max):
+    """Earliest t <= t_max with cumulative multiplicative hazard == target."""
+    if not math.isfinite(target):
+        return math.inf
+    keep = (parent_times < t_max) & (alphas != 0.0)
+    parent_times, alphas = parent_times[keep], alphas[keep]
+    if parent_times.size == 0 or parent_times[0] > 0.0:
+        parent_times = np.concatenate([[0.0], parent_times])
+        alphas = np.concatenate([[0.0], alphas])
+    lefts = parent_times
+    rights = np.concatenate([lefts[1:], [t_max]])
+    mults = np.exp(np.cumsum(alphas))
+    cumhaz = np.cumsum(mults * np.asarray(baseline.integral(lefts, rights)))
+    if cumhaz[-1] < target:
+        return math.inf
+    seg = int(np.searchsorted(cumhaz, target, side="left"))
+    before = float(cumhaz[seg - 1]) if seg > 0 else 0.0
+    residual = target - before
+    if residual <= 0.0:
+        return float(lefts[seg])
+    t = baseline.invert_integral(float(lefts[seg]), residual / float(mults[seg]))
+    return min(t, float(rights[seg]))
+
+
+def reference_invert(model, parent_times, alphas, target, t_max):
+    if isinstance(model, hn.ShapingFunction):
+        return reference_invert_additive(model, parent_times, alphas, target, t_max)
+    return reference_invert_multiplicative(model, parent_times, alphas, target, t_max)
+
+
+def reference_cascade(net, model, source, window, uniforms):
+    """The event loop refreshing one target at a time through the oracles."""
+    targets = -np.log1p(-uniforms)
+    nodes, times = [source], [0.0]
+    susceptible = np.ones(net.num_nodes, dtype=bool)
+    susceptible[source] = False
+    tentative = np.full(net.num_nodes, math.inf)
+
+    def refresh(targets_now):
+        for node in targets_now:
+            alphas = net.params[nodes, node]
+            tentative[node] = reference_invert(
+                model, np.array(times), alphas, targets[node], window
+            )
+
+    if isinstance(model, hn.ShapingFunction):
+        refresh(np.nonzero(susceptible & (net.params[source] != 0.0))[0])
+    else:
+        refresh(np.nonzero(susceptible)[0])
+    while True:
+        nxt = int(np.argmin(tentative))
+        t_next = float(tentative[nxt])
+        if not t_next <= window:
+            break
+        if t_next <= times[-1]:
+            t_next = float(np.nextafter(times[-1], math.inf))
+            if t_next > window:
+                break
+        nodes.append(nxt)
+        times.append(t_next)
+        susceptible[nxt] = False
+        tentative[nxt] = math.inf
+        refresh(np.nonzero(susceptible & (net.params[nxt] != 0.0))[0])
+    return np.array(nodes), np.array(times)
+
+
+def kind_of(model):
+    return hn.ADDITIVE if isinstance(model, hn.ShapingFunction) else hn.MULTIPLICATIVE
+
+
+def random_network(kind, n, rng):
+    """Dense random parameters with ~40% of the edges switched off."""
+    low = -0.7 if kind == hn.MULTIPLICATIVE else 0.0
+    params = rng.uniform(low, 0.9, (n, n))
+    params[rng.random((n, n)) < 0.4] = 0.0
+    np.fill_diagonal(params, 0.0)
+    return hn.Network(params, kind)
+
+
+def generated_network(kind):
+    """The network `hazardnet generate --scale 7 --model <kind> --seed 1` writes."""
+    spec = hn.KroneckerSpec(hn.KRONECKER_SEEDS["core-periphery"], 7, 4.0, rng_seed=1)
+    if kind == hn.ADDITIVE:
+        dist = hn.ParamDistribution(hn.ADDITIVE, 0.01, 1.0)
+    else:
+        dist = hn.ParamDistribution(hn.MULTIPLICATIVE, 0.1, 1.0, negative_prob=0.3)
+    return hn.assign_parameters(128, hn.generate_kronecker(spec), dist, rng_seed=2)
+
 
 class TestKronecker:
     def test_identity_seed_keeps_edges_inside_diagonal_blocks(self):
@@ -142,6 +294,58 @@ class TestSingleNodeSampler:
         assert kstest(infected, cdf).pvalue > 0.01
 
 
+class TestBatchedRefresh:
+    """The running-state sampler against the per-node reference sampler,
+    and its lazy refresh against refreshing every node on every event."""
+
+    @staticmethod
+    def _compare(net, model, cascades, window, seed):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(cascades):
+            source = int(rng.integers(net.num_nodes))
+            uniforms = rng.random(net.num_nodes)
+            got = hn.simulate_cascade(net, model, source, window, uniforms=uniforms)
+            eager = hn.simulate_cascade(
+                net, model, source, window, uniforms=uniforms, recompute_all=True
+            )
+            assert got.events() == eager.events()
+            ref_nodes, ref_times = reference_cascade(net, model, source, window, uniforms)
+            np.testing.assert_array_equal(got.nodes, ref_nodes)
+            worst = max(worst, float(np.max(np.abs(got.times - ref_times))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_random_16_node_network_matches_reference(self, family):
+        model = FAMILIES[family]
+        rng = np.random.default_rng(31)
+        for trial in range(5):
+            net = random_network(kind_of(model), 16, rng)
+            self._compare(net, model, 12, 4.0, seed=100 + trial)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_generated_128_node_network_matches_reference(self, family):
+        model = FAMILIES[family]
+        self._compare(generated_network(kind_of(model)), model, 50, 4.0, seed=7)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_single_node_replay_matches_reference(self, family):
+        model = FAMILIES[family]
+        # the replay bisects over the parents so far, the reference over the
+        # whole history: multi-parent power times agree to the bisection's
+        # 1e-10 relative tolerance, the closed forms to rounding
+        tol = 4.0 * 1e-10 if family == hn.POWER else 1e-12
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            net = random_network(kind_of(model), 6, rng)
+            times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 4))])
+            history = hn.Cascade(np.arange(5), times)
+            u = float(rng.random())
+            got = hn.infection_time_from_uniform(net, model, history, 5, u, 4.0)
+            want = reference_invert(model, times, net.params[:5, 5], -math.log1p(-u), 4.0)
+            assert got == pytest.approx(want, rel=0.0, abs=tol) or got == want == math.inf
+
+
 class TestSimulateCascade:
     def test_exponential_delay_has_unit_mean(self):
         net = hn.Network([[0.0, 1.0], [0.0, 0.0]], hn.ADDITIVE)
@@ -178,12 +382,6 @@ class TestSimulateCascade:
         a = hn.simulate_set(net, EXP, 20, 3.0, rng_seed=21)
         b = hn.simulate_set(net, EXP, 20, 3.0, rng_seed=21)
         assert [x.events() for x in a] == [y.events() for y in b]
-
-    def test_workers_do_not_change_results(self):
-        net = hn.Network(np.full((5, 5), 0.4) - 0.4 * np.eye(5), hn.ADDITIVE)
-        seq = hn.simulate_set(net, EXP, 30, 3.0, rng_seed=22, workers=1)
-        par = hn.simulate_set(net, EXP, 30, 3.0, rng_seed=22, workers=4)
-        assert [x.events() for x in seq] == [y.events() for y in par]
 
     def test_zero_cascades(self):
         net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
@@ -229,7 +427,7 @@ class TestSimulateCascade:
             1024, hn.generate_kronecker(spec), hn.ParamDistribution(hn.ADDITIVE, 0.01, 1.0),
             rng_seed=124,
         )
-        cs = hn.simulate_set(net, EXP, 1000, 4.0, rng_seed=125, workers=2)
+        cs = hn.simulate_set(net, EXP, 1000, 4.0, rng_seed=125)
         sizes = {c.size for c in cs}
         assert len(cs) == 1000
         assert len(sizes) > 50  # a spread of outcomes, not a degenerate spike
