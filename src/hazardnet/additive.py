@@ -4,20 +4,24 @@ The cascade log-likelihood splits into a log-hazard term per non-source
 infection, an exposure term per (parent, infected) pair, and a survival term
 per (infected, uninfected) pair. The negative log-likelihood is convex in
 the rate matrix and separates over target-node columns, so the solver runs
-one projected-gradient subproblem per column.
+one projected-gradient subproblem per column. Each column's data (exposure
+coefficients, parents and kernel values of each explained infection) is
+gathered from the packed cascade set of :mod:`hazardnet.optim`; the set
+gradient reads the same columns, and the shared column runner there runs
+the solves.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .optim import relative_change, segment_lengths, segment_sums
+from .optim import PackedCascades, Segments, relative_change, segment_sums, solve_columns
 from .shaping import ShapingFunction
-from .types import ADDITIVE, Cascade, CascadeSet, InferenceResult, Network, aggregate_traces
+from .types import ADDITIVE, Cascade, CascadeSet, InferenceResult, Network
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
@@ -149,30 +153,22 @@ def additive_gradient(net: Network, shaping: ShapingFunction, cs: CascadeSet) ->
 
     Entry (j, i) accumulates gamma/IR - G over cascades where both are
     infected with j first (IR the total hazard at i's infection), and -G(T)
-    where j is infected and i is not. Diagonal entries stay zero.
+    where j is infected and i is not. Each column is the negated column-NLL
+    gradient the solver uses, gathered from the packed cascade set.
+    Diagonal entries stay zero.
     """
     _check_additive(net)
-    A = net.params
-    N = net.num_nodes
-    grad = np.zeros((N, N))
-    all_nodes = np.arange(N)
-    for cascade in cs:
-        _check_window(cascade, cs.window)
-        nodes, times = cascade.nodes, cascade.times
-        for r in range(1, nodes.size):
-            parents, pt, ti = nodes[:r], times[:r], times[r]
-            gamma = np.asarray(shaping.hazard(pt, ti))
-            rate = float(A[parents, nodes[r]] @ gamma)
-            if rate <= 0.0:
-                raise ValueError(
-                    "zero hazard at an observed infection: the log-likelihood "
-                    "is -inf here and has no gradient"
-                )
-            grad[parents, nodes[r]] += gamma / rate - np.asarray(shaping.cumulative(pt, ti))
-        uninfected = np.setdiff1d(all_nodes, nodes, assume_unique=True)
-        if uninfected.size:
-            survival = np.asarray(shaping.cumulative(times, cs.window))
-            grad[np.ix_(nodes, uninfected)] -= survival[:, None]
+    packed = PackedCascades(cs)
+    grad = np.zeros((net.num_nodes, net.num_nodes))
+    for i in range(net.num_nodes):
+        column = _column(packed, shaping, i)
+        rates = _rates(column, net.params[:, i])
+        if np.any(rates <= 0.0):
+            raise ValueError(
+                "zero hazard at an observed infection: the log-likelihood "
+                "is -inf here and has no gradient"
+            )
+        grad[:, i] = -_nll_gradient(column, rates)
     return grad
 
 
@@ -194,85 +190,68 @@ def additive_kkt_violation(net: Network, shaping: ShapingFunction, cs: CascadeSe
     return worst
 
 
-def _event_positions(cs: CascadeSet) -> list[np.ndarray]:
-    """Per cascade, an N-vector mapping node id -> event index (-1 if absent)."""
-    positions = []
-    for c in cs:
-        pos = np.full(cs.num_nodes, -1, dtype=np.int64)
-        pos[c.nodes] = np.arange(c.nodes.size)
-        positions.append(pos)
-    return positions
+class _Column(NamedTuple):
+    """One target column's likelihood data: the linear NLL coefficients
+    plus one ragged gamma row per explained infection."""
+
+    exposure: np.ndarray
+    parents: np.ndarray
+    gamma: np.ndarray
+    segments: Segments
 
 
-def _column_problem(
-    cs: CascadeSet,
-    shaping: ShapingFunction,
-    target: int,
-    positions: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack the target column's likelihood data into flat arrays.
+def _column(packed: PackedCascades, shaping: ShapingFunction, target: int) -> _Column:
+    """Gather the target column's data from the packed cascade set.
 
-    Returns (exposure, flat_parents, flat_gamma, offsets): the linear NLL
-    coefficients plus one ragged gamma row per explained infection.
+    Every event before the target's infection (or all events, where it
+    stays uninfected) adds its kernel integral up to that infection (or the
+    window) to the exposure; the ones before an infection are its parents.
     """
-    N = cs.num_nodes
-    exposure = np.zeros(N)
-    idx_chunks: list[np.ndarray] = []
-    gamma_chunks: list[np.ndarray] = []
-    for cascade, pos in zip(cs.cascades, positions):
-        r = int(pos[target])
-        if r < 0:
-            exposure[cascade.nodes] += np.asarray(
-                shaping.cumulative(cascade.times, cs.window)
-            )
-        elif r > 0:
-            parents, pt, ti = cascade.nodes[:r], cascade.times[:r], cascade.times[r]
-            exposure[parents] += np.asarray(shaping.cumulative(pt, ti))
-            gamma = np.asarray(shaping.hazard(pt, ti))
-            if gamma.max(initial=0.0) <= 0.0:
-                raise ValueError(
-                    f"node {target} has an infection that no parameter can explain "
-                    "(all parent kernels vanish at its infection time)"
-                )
-            idx_chunks.append(parents)
-            gamma_chunks.append(gamma)
-    if idx_chunks:
-        flat_parents = np.concatenate(idx_chunks)
-        flat_gamma = np.concatenate(gamma_chunks)
-        offsets = np.cumsum([0] + [len(c) for c in idx_chunks[:-1]])
-    else:
-        flat_parents = np.zeros(0, dtype=np.int64)
-        flat_gamma = np.zeros(0)
-        offsets = np.zeros(0, dtype=np.int64)
-    return exposure, flat_parents, flat_gamma, np.asarray(offsets, dtype=np.int64)
+    events, segments, hit = packed.prefix(target)
+    infected = hit >= 0
+    ends = np.where(infected, packed.times[hit], packed.window)[segments.ids]
+    nodes, times = packed.nodes[events], packed.times[events]
+    exposure = np.bincount(
+        nodes, weights=shaping.cumulative(times, ends), minlength=packed.num_nodes
+    )
+    explained = infected[segments.ids]
+    gamma = np.asarray(shaping.hazard(times[explained], ends[explained]))
+    return _Column(
+        exposure, nodes[explained], gamma, Segments.of_lengths(segments.lengths[infected])
+    )
+
+
+def _rates(column: _Column, x: np.ndarray) -> np.ndarray:
+    """Total hazard at each explained infection."""
+    return segment_sums(x[column.parents] * column.gamma, column.segments)
+
+
+def _nll_gradient(column: _Column, rates: np.ndarray) -> np.ndarray:
+    """Gradient of the column NLL, given the hazards :func:`_rates` returns."""
+    weights = column.gamma / rates[column.segments.ids]
+    return column.exposure - np.bincount(
+        column.parents, weights=weights, minlength=column.exposure.size
+    )
 
 
 def _solve_column(
-    target: int,
-    exposure: np.ndarray,
-    flat_parents: np.ndarray,
-    flat_gamma: np.ndarray,
-    offsets: np.ndarray,
-    cfg: AdditiveConfig,
-    x0: np.ndarray,
+    target: int, column: _Column, cfg: AdditiveConfig, x0: np.ndarray
 ) -> tuple[np.ndarray, list[float], bool, int]:
     """Projected gradient with Armijo backtracking on one column NLL."""
+    exposure = column.exposure
     N = exposure.size
-    if flat_parents.size == 0:
+    if column.parents.size == 0:
         # Only survival pressure: the nonnegative minimizer is exactly zero.
         return np.zeros(N), [0.0], True, 0
-    lengths = segment_lengths(offsets, flat_parents.size)
 
     def value(x: np.ndarray) -> float:
-        sums = segment_sums(x[flat_parents] * flat_gamma, offsets)
+        sums = _rates(column, x)
         if np.any(sums <= 0.0):
             return math.inf
         return float(exposure @ x - np.log(sums).sum())
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        sums = segment_sums(x[flat_parents] * flat_gamma, offsets)
-        weights = flat_gamma / np.repeat(sums, lengths)
-        return exposure - np.bincount(flat_parents, weights=weights, minlength=N)
+        return _nll_gradient(column, _rates(column, x))
 
     x = x0.copy()
     x[target] = 0.0
@@ -317,34 +296,15 @@ def infer_additive(
     """
     if len(cs) == 0:
         raise ValueError("need at least one cascade to infer from")
-    N = cs.num_nodes
-    positions = _event_positions(cs)
-    if init is None:
-        start = np.full((N, N), 0.1)
-        np.fill_diagonal(start, 0.0)
-    else:
-        start = np.array(init.params if isinstance(init, Network) else init, dtype=np.float64)
-        if start.shape != (N, N):
-            raise ValueError("init must be an N x N matrix")
-        if np.any(start < 0.0):
-            raise ValueError("init must be nonnegative")
+    packed = PackedCascades(cs)
 
-    def solve(i: int):
-        exposure, fp, fg, offs = _column_problem(cs, cfg.shaping, i, positions)
-        return _solve_column(i, exposure, fp, fg, offs, cfg, start[:, i])
+    def solve(i: int, x0: np.ndarray):
+        column = _column(packed, cfg.shaping, i)
+        if np.any(segment_sums(column.gamma, column.segments) <= 0.0):
+            raise ValueError(
+                f"node {i} has an infection that no parameter can explain "
+                "(all parent kernels vanish at its infection time)"
+            )
+        return _solve_column(i, column, cfg, x0)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, range(N)))
-    else:
-        results = [solve(i) for i in range(N)]
-
-    params = np.column_stack([r[0] for r in results])
-    np.fill_diagonal(params, 0.0)
-    trace = aggregate_traces([np.asarray(r[1]) for r in results])
-    return InferenceResult(
-        network=Network(params, ADDITIVE),
-        objective_trace=trace,
-        converged=all(r[2] for r in results),
-        iterations=max(r[3] for r in results),
-    )
+    return solve_columns(cs, ADDITIVE, init, 0.1, solve, workers)

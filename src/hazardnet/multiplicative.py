@@ -7,22 +7,29 @@ exponentials of partial influence totals — convex in the matrix. Pairs never
 co-infected in order carry no upward pressure and would run off to -inf, so
 they are frozen at zero through a support mask built from the data; the
 remaining entries are estimated by proximal gradient with soft-thresholding.
+
+The packed cascade set of :mod:`hazardnet.optim` supplies the interval
+weights, the co-infection counts (the support mask is count > 0) and each
+column's exposure intervals; the set gradient reads the same columns, and
+the shared column runner there runs the solves.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .optim import (
+    PackedCascades,
+    Segments,
     relative_change,
     segment_cumsum,
     segment_reverse_cumsum,
     soft_threshold,
+    solve_columns,
 )
 from .shaping import Baseline
 from .types import (
@@ -31,7 +38,6 @@ from .types import (
     CascadeSet,
     InferenceResult,
     Network,
-    aggregate_traces,
 )
 
 _MIN_STEP = 1e-20
@@ -102,12 +108,7 @@ class SignedEdge(NamedTuple):
 
 def build_support(cs: CascadeSet) -> SupportMask:
     """Mask of ordered node pairs co-infected in at least one cascade."""
-    mask = np.zeros((cs.num_nodes, cs.num_nodes), dtype=bool)
-    for cascade in cs:
-        nodes = cascade.nodes
-        earlier = np.triu(np.ones((nodes.size, nodes.size), dtype=bool), k=1)
-        mask[np.ix_(nodes, nodes)] |= earlier
-    return SupportMask(mask)
+    return SupportMask(PackedCascades(cs).coinfection_counts() > 0.0)
 
 
 def _check_multiplicative(net: Network) -> None:
@@ -187,29 +188,19 @@ def multiplicative_gradient(
 
     Entry (k, i): one per cascade where k precedes i's infection, minus the
     part of i's cumulative exposure accrued while k was already infected.
+    Each column is the negated column-NLL gradient the solver uses, gathered
+    from the packed cascade set.
     """
     _check_multiplicative(net)
     A = _masked_params(net, mask)
-    N = net.num_nodes
-    grad = np.zeros((N, N))
-    all_nodes = np.arange(N)
-    for cascade in cs:
-        nodes, times = cascade.nodes, cascade.times
-        weights = _interval_weights(cascade, baseline, cs.window)
-
-        def exposure_pull(target: int, upto: int) -> None:
-            if upto == 0:
-                return
-            prefix = np.cumsum(A[nodes[:upto], target])
-            terms = np.exp(prefix) * weights[:upto]
-            # d exposure / d alpha_{k, target} sums the intervals where k is active
-            grad[nodes[:upto], target] -= np.cumsum(terms[::-1])[::-1]
-
-        for r in range(1, nodes.size):
-            grad[nodes[:r], nodes[r]] += 1.0
-            exposure_pull(int(nodes[r]), r)
-        for n in np.setdiff1d(all_nodes, nodes, assume_unique=True):
-            exposure_pull(int(n), nodes.size)
+    packed = PackedCascades(cs)
+    weights = packed.interval_weights(baseline)
+    counts = packed.coinfection_counts()
+    grad = np.zeros((net.num_nodes, net.num_nodes))
+    for i in range(net.num_nodes):
+        column = _column(packed, weights, i)
+        _, lam = _exposure(column, A[:, i])
+        grad[:, i] = -_nll_gradient(column, lam, counts[:, i])
     grad[~mask.matrix] = 0.0
     return grad
 
@@ -245,61 +236,39 @@ def extract_signed_edges(net: Network, threshold: float) -> list[SignedEdge]:
     return out
 
 
-def _compile_shared(cs: CascadeSet, baseline: Baseline):
-    """Per-cascade interval weights plus global co-infection counts and
-    baseline log-rate totals, shared by every column subproblem."""
-    N = cs.num_nodes
-    counts = np.zeros((N, N))
-    const = np.zeros(N)
-    weights_per_cascade = []
-    positions = []
-    for cascade in cs:
-        nodes, times = cascade.nodes, cascade.times
-        weights_per_cascade.append(_interval_weights(cascade, baseline, cs.window))
-        pos = np.full(N, -1, dtype=np.int64)
-        pos[nodes] = np.arange(nodes.size)
-        positions.append(pos)
-        earlier = np.triu(np.ones((nodes.size, nodes.size)), k=1)
-        counts[np.ix_(nodes, nodes)] += earlier
-        if nodes.size > 1:
-            rates = np.asarray(baseline.log_rate(times[1:]))
-            if not np.all(np.isfinite(rates)):
-                raise ValueError(
-                    "an infection time lies outside the baseline's support "
-                    "(log rate is -inf there)"
-                )
-            const[nodes[1:]] += rates
-    return counts, const, weights_per_cascade, positions
+class _Column(NamedTuple):
+    """The target's exposure intervals across cascades: the node whose
+    influence enters each interval and the interval's baseline integral."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    segments: Segments
 
 
-def _column_problem_mult(cs, target, weights_per_cascade, positions):
-    """Flatten the target's exposure intervals across cascades."""
-    node_chunks, weight_chunks = [], []
-    for cascade, weights, pos in zip(cs.cascades, weights_per_cascade, positions):
-        r = int(pos[target])
-        upto = cascade.nodes.size if r < 0 else r
-        if upto == 0:
-            continue
-        node_chunks.append(cascade.nodes[:upto])
-        weight_chunks.append(weights[:upto])
-    if node_chunks:
-        flat_nodes = np.concatenate(node_chunks)
-        flat_weights = np.concatenate(weight_chunks)
-        offsets = np.cumsum([0] + [len(c) for c in node_chunks[:-1]])
-    else:
-        flat_nodes = np.zeros(0, dtype=np.int64)
-        flat_weights = np.zeros(0)
-        offsets = np.zeros(0, dtype=np.int64)
-    return flat_nodes, flat_weights, np.asarray(offsets, dtype=np.int64)
+def _column(packed: PackedCascades, weights: np.ndarray, target: int) -> _Column:
+    events, segments, _ = packed.prefix(target)
+    return _Column(packed.nodes[events], weights[events], segments)
+
+
+def _exposure(column: _Column, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cumulative hazard of the column's target and its per-interval terms."""
+    with np.errstate(over="ignore"):
+        prefix = segment_cumsum(x[column.nodes], column.segments)
+        lam = np.exp(prefix) * column.weights
+    return float(lam.sum()), lam
+
+
+def _nll_gradient(column: _Column, lam: np.ndarray, count_col: np.ndarray) -> np.ndarray:
+    """Gradient of the column NLL from the terms :func:`_exposure` returns."""
+    pulls = segment_reverse_cumsum(lam, column.segments)
+    return np.bincount(column.nodes, weights=pulls, minlength=count_col.size) - count_col
 
 
 def _solve_column_mult(
     free: np.ndarray,
     count_col: np.ndarray,
     const: float,
-    flat_nodes: np.ndarray,
-    flat_weights: np.ndarray,
-    offsets: np.ndarray,
+    column: _Column,
     penalty: float,
     cfg: MultiplicativeConfig,
     x0: np.ndarray,
@@ -313,14 +282,8 @@ def _solve_column_mult(
     N = count_col.size
 
     def value_and_cache(x: np.ndarray) -> tuple[float, np.ndarray]:
-        with np.errstate(over="ignore"):
-            prefix = segment_cumsum(x[flat_nodes], offsets)
-            lam = np.exp(prefix) * flat_weights
-        return float(lam.sum() - count_col @ x - const), lam
-
-    def grad_from_cache(lam: np.ndarray) -> np.ndarray:
-        pulls = segment_reverse_cumsum(lam, offsets)
-        return np.bincount(flat_nodes, weights=pulls, minlength=N) - count_col
+        exposure, lam = _exposure(column, x)
+        return float(exposure - count_col @ x - const), lam
 
     def penalized(smooth_value: float, x: np.ndarray) -> float:
         return smooth_value + penalty * float(np.abs(x[free]).sum())
@@ -330,7 +293,7 @@ def _solve_column_mult(
     if free.size == 0:
         return x, [value_and_cache(x)[0]], True, 0
     f, lam = value_and_cache(x)
-    grad = grad_from_cache(lam)
+    grad = _nll_gradient(column, lam, count_col)
     objective = penalized(f, x)
     trace = [objective]
     base, f_base, grad_base = x, f, grad  # extrapolation point (== x when plain)
@@ -365,7 +328,7 @@ def _solve_column_mult(
                 return x, trace, True, iterations - 1
         previous_x, previous_obj = x, objective
         x, f = cand, f_cand
-        grad = grad_from_cache(lam_cand)
+        grad = _nll_gradient(column, lam_cand, count_col)
         objective = penalized(f, x)
         trace.append(objective)
         if relative_change(previous_obj, objective) < cfg.tol:
@@ -376,7 +339,7 @@ def _solve_column_mult(
             base = x + ((t_k - 1.0) / t_next) * (x - previous_x)
             t_k = t_next
             f_base, lam_at_base = value_and_cache(base)
-            grad_base = grad_from_cache(lam_at_base)
+            grad_base = _nll_gradient(column, lam_at_base, count_col)
         else:
             base, f_base, grad_base = x, f, grad
     return x, trace, converged, iterations
@@ -396,47 +359,22 @@ def infer_multiplicative(
     """
     if len(cs) == 0:
         raise ValueError("need at least one cascade to infer from")
-    N = cs.num_nodes
-    mask = build_support(cs)
-    penalty = cfg.l1_penalty if cfg.l1_penalty is not None else 0.01 * len(cs) / N
-    counts, const, weights_per_cascade, positions = _compile_shared(cs, cfg.baseline)
-    if init is None:
-        start = np.zeros((N, N))
-    else:
-        start = np.array(init.params if isinstance(init, Network) else init, dtype=np.float64)
-        if start.shape != (N, N):
-            raise ValueError("init must be an N x N matrix")
-    start = np.where(mask.matrix, start, 0.0)
-
-    def solve(i: int):
-        free = np.nonzero(mask.matrix[:, i])[0]
-        flat_nodes, flat_weights, offsets = _column_problem_mult(
-            cs, i, weights_per_cascade, positions
+    packed = PackedCascades(cs)
+    counts = packed.coinfection_counts()
+    penalty = cfg.l1_penalty if cfg.l1_penalty is not None else 0.01 * len(cs) / cs.num_nodes
+    weights = packed.interval_weights(cfg.baseline)
+    infections = packed.rank > 0
+    rates = np.asarray(cfg.baseline.log_rate(packed.times[infections]))
+    if not np.all(np.isfinite(rates)):
+        raise ValueError(
+            "an infection time lies outside the baseline's support "
+            "(log rate is -inf there)"
         )
-        return _solve_column_mult(
-            free,
-            counts[:, i],
-            float(const[i]),
-            flat_nodes,
-            flat_weights,
-            offsets,
-            penalty,
-            cfg,
-            start[:, i],
-        )
+    const = np.bincount(packed.nodes[infections], weights=rates, minlength=cs.num_nodes)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, range(N)))
-    else:
-        results = [solve(i) for i in range(N)]
+    def solve(i: int, x0: np.ndarray):
+        free = np.nonzero(counts[:, i])[0]
+        column = _column(packed, weights, i)
+        return _solve_column_mult(free, counts[:, i], float(const[i]), column, penalty, cfg, x0)
 
-    params = np.column_stack([r[0] for r in results])
-    np.fill_diagonal(params, 0.0)
-    trace = aggregate_traces([np.asarray(r[1]) for r in results])
-    return InferenceResult(
-        network=Network(params, MULTIPLICATIVE),
-        objective_trace=trace,
-        converged=all(r[2] for r in results),
-        iterations=max(r[3] for r in results),
-    )
+    return solve_columns(cs, MULTIPLICATIVE, init, 0.0, solve, workers)

@@ -1,13 +1,22 @@
-"""Small numeric helpers shared by the two solvers.
+"""The packed cascade set, segmented reductions and the column runner shared
+by the two solvers.
 
-The likelihoods decompose into ragged per-cascade segments that get packed
-into flat arrays; these helpers implement the segmented reductions without
-materializing sparse matrices.
+Both likelihoods separate over target-node columns, and every column reads
+the events each cascade shows before the target's infection (all of them
+where the target stays uninfected). The cascade set is packed once into flat
+arrays, and each column gathers its ragged per-cascade segments from them in
+cascade order, so every sum runs in the order of a per-cascade loop. Columns
+are built and dropped one at a time: memory stays O(events + C * N).
 """
 
 from __future__ import annotations
 
+from concurrent import futures
+from typing import Callable, NamedTuple
+
 import numpy as np
+
+from .types import ADDITIVE, CascadeSet, InferenceResult, Network, aggregate_traces
 
 
 def soft_threshold(values: np.ndarray, amount: float) -> np.ndarray:
@@ -15,36 +24,140 @@ def soft_threshold(values: np.ndarray, amount: float) -> np.ndarray:
     return np.sign(values) * np.maximum(np.abs(values) - amount, 0.0)
 
 
-def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sum of each segment; ``offsets`` are segment starts (all non-empty)."""
+class Segments(NamedTuple):
+    """Layout of consecutive non-empty segments tiling a flat array."""
+
+    offsets: np.ndarray  # first element of each segment
+    lengths: np.ndarray
+    ids: np.ndarray  # segment index of every element
+
+    @classmethod
+    def of_lengths(cls, lengths: np.ndarray) -> "Segments":
+        lengths = np.asarray(lengths, dtype=np.int64)
+        offsets = np.cumsum(lengths) - lengths
+        return cls(offsets, lengths, np.repeat(np.arange(lengths.size), lengths))
+
+
+def segment_sums(values: np.ndarray, segments: Segments) -> np.ndarray:
+    """Sum of each segment."""
     if values.size == 0:
         return np.zeros(0)
-    return np.add.reduceat(values, offsets)
+    return np.add.reduceat(values, segments.offsets)
 
 
-def segment_cumsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def segment_cumsum(values: np.ndarray, segments: Segments) -> np.ndarray:
     """Inclusive cumulative sum restarting at every segment start."""
     if values.size == 0:
         return values.copy()
     cs = np.cumsum(values)
-    base = cs[offsets] - values[offsets]
-    lengths = np.diff(np.concatenate([offsets, [values.size]]))
-    return cs - np.repeat(base, lengths)
+    base = cs[segments.offsets] - values[segments.offsets]
+    return cs - base[segments.ids]
 
 
-def segment_reverse_cumsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def segment_reverse_cumsum(values: np.ndarray, segments: Segments) -> np.ndarray:
     """Inclusive suffix sums within each segment."""
     if values.size == 0:
         return values.copy()
     cs = np.cumsum(values)
-    lengths = np.diff(np.concatenate([offsets, [values.size]]))
-    ends = cs[np.concatenate([offsets[1:], [values.size]]) - 1]
-    return np.repeat(ends, lengths) - cs + values
-
-
-def segment_lengths(offsets: np.ndarray, total: int) -> np.ndarray:
-    return np.diff(np.concatenate([offsets, [total]]))
+    ends = cs[segments.offsets + segments.lengths - 1]
+    return ends[segments.ids] - cs + values
 
 
 def relative_change(previous: float, current: float) -> float:
     return abs(previous - current) / max(abs(previous), 1.0)
+
+
+class PackedCascades:
+    """A cascade set as flat event arrays, built in one pass.
+
+    ``nodes``/``times`` concatenate the cascades, ``cascades`` segments them
+    (``offsets`` the starts, ``lengths`` the sizes, ``ids`` each event's
+    cascade), ``rank`` is each event's index inside its cascade, and
+    ``positions[c, n]`` is node n's rank in cascade c, -1 where it is absent.
+    """
+
+    def __init__(self, cs: CascadeSet) -> None:
+        self.num_nodes, self.window = cs.num_nodes, cs.window
+        self.cascades = Segments.of_lengths([c.size for c in cs])
+        self.nodes = np.concatenate([np.zeros(0, dtype=np.int64), *(c.nodes for c in cs)])
+        self.times = np.concatenate([np.zeros(0), *(c.times for c in cs)])
+        self.rank = np.arange(self.nodes.size) - self.cascades.offsets[self.cascades.ids]
+        self.positions = np.full((len(cs), cs.num_nodes), -1, dtype=np.int64)
+        self.positions[self.cascades.ids, self.nodes] = self.rank
+
+    def interval_weights(self, baseline) -> np.ndarray:
+        """Per event, the baseline integral up to the next event (the window
+        after a cascade's last one). A target infected at event index r
+        accumulates its cascade's first r weights, an uninfected one all."""
+        rights = np.append(self.times[1:], self.window)
+        rights[self.cascades.offsets + self.cascades.lengths - 1] = self.window
+        return np.asarray(baseline.integral(self.times, rights), dtype=np.float64)
+
+    def coinfection_counts(self) -> np.ndarray:
+        """(j, i): number of cascades that infect both j and i, j first."""
+        counts = np.zeros((self.num_nodes, self.num_nodes))
+        for i in range(self.num_nodes):
+            rows = self.positions[self.positions[:, i] > 0]
+            counts[:, i] = ((rows >= 0) & (rows < rows[:, i, None])).sum(axis=0)
+        return counts
+
+    def prefix(self, target: int) -> tuple[np.ndarray, Segments, np.ndarray]:
+        """The events each cascade shows before ``target``'s infection.
+
+        Returns their flat indices in cascade order, one segment per cascade
+        that has any, and per segment the flat index of the target's
+        infection (-1 where the target stays uninfected).
+        """
+        position = self.positions[:, target]
+        upto = np.where(position < 0, self.cascades.lengths, position)
+        kept = np.nonzero(upto)[0]
+        segments = Segments.of_lengths(upto[kept])
+        starts = self.cascades.offsets[kept]
+        events = np.arange(segments.ids.size) + (starts - segments.offsets)[segments.ids]
+        hit = np.where(position[kept] < 0, -1, starts + position[kept])
+        return events, segments, hit
+
+
+ColumnSolution = tuple[np.ndarray, list[float], bool, int]
+
+
+def solve_columns(
+    cs: CascadeSet,
+    kind: str,
+    init: Network | np.ndarray | None,
+    default: float,
+    solve: Callable[[int, np.ndarray], ColumnSolution],
+    workers: int,
+) -> InferenceResult:
+    """Solve every target column and assemble the fitted network.
+
+    ``solve(i, x0)`` returns (column, objective trace, converged, iterations)
+    for column i started at ``x0``. Without ``init`` every off-diagonal entry
+    starts at ``default``. Columns are independent, so ``workers`` threads
+    give the same result as one.
+    """
+    N = cs.num_nodes
+    if init is None:
+        start = np.full((N, N), default)
+        np.fill_diagonal(start, 0.0)
+    else:
+        start = np.array(init.params if isinstance(init, Network) else init, dtype=np.float64)
+        if start.shape != (N, N):
+            raise ValueError("init must be an N x N matrix")
+        if not np.all(np.isfinite(start)):
+            raise ValueError("init must be finite")
+        if kind == ADDITIVE and np.any(start < 0.0):
+            raise ValueError("init must be nonnegative")
+    if workers > 1:
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(solve, range(N), start.T))
+    else:
+        results = list(map(solve, range(N), start.T))
+    params = np.column_stack([r[0] for r in results])
+    np.fill_diagonal(params, 0.0)
+    return InferenceResult(
+        network=Network(params, kind),
+        objective_trace=aggregate_traces([np.asarray(r[1]) for r in results]),
+        converged=all(r[2] for r in results),
+        iterations=max(r[3] for r in results),
+    )

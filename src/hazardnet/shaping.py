@@ -10,6 +10,7 @@ inverses (used by the cascade sampler).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ CONSTANT = "constant"
 LINEAR = "linear"
 INVERSE = "inverse"
 BASELINE_VARIANTS = (CONSTANT, LINEAR, INVERSE)
+
+_MAX_LOG_SCALE = math.log(sys.float_info.max)  # largest a0 with a finite exp(a0)
 
 
 def _match_input(result: np.ndarray) -> np.ndarray | float:
@@ -99,6 +102,8 @@ class Baseline:
             raise ValueError("epsilon must be a positive finite clamp")
         if not math.isfinite(self.log_scale):
             raise ValueError("log_scale must be finite")
+        if self.log_scale > _MAX_LOG_SCALE:
+            raise ValueError(f"log_scale {self.log_scale} is too large: exp(log_scale) overflows")
 
     @property
     def scale(self) -> float:

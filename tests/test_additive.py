@@ -7,6 +7,8 @@ import pytest
 
 import hazardnet as hn
 from conftest import additive_instance, random_additive_network
+from hazardnet.additive import _column
+from hazardnet.optim import PackedCascades
 
 EXP = hn.ShapingFunction(hn.EXPONENTIAL)
 
@@ -50,6 +52,47 @@ def naive_loglik(params, shaping, cascade, num_nodes, window):
         for m, tm in events:
             total -= params[m][n] * big_gamma(tm, window)
     return total
+
+
+def naive_gradient(net, shaping, cs):
+    """Per-event reimplementation of the set gradient: each infection adds
+    gamma/IR - G for its parents, each uninfected node -G(T) for all."""
+    A = net.params
+    N = net.num_nodes
+    grad = np.zeros((N, N))
+    all_nodes = np.arange(N)
+    for cascade in cs:
+        nodes, times = cascade.nodes, cascade.times
+        for r in range(1, nodes.size):
+            parents, pt, ti = nodes[:r], times[:r], times[r]
+            gamma = np.asarray(shaping.hazard(pt, ti))
+            rate = float(A[parents, nodes[r]] @ gamma)
+            grad[parents, nodes[r]] += gamma / rate - np.asarray(shaping.cumulative(pt, ti))
+        uninfected = np.setdiff1d(all_nodes, nodes, assume_unique=True)
+        if uninfected.size:
+            survival = np.asarray(shaping.cumulative(times, cs.window))
+            grad[np.ix_(nodes, uninfected)] -= survival[:, None]
+    return grad
+
+
+def naive_column(cs, shaping, target):
+    """Per-cascade build of one column's (exposure, parents, gamma, offsets)."""
+    exposure = np.zeros(cs.num_nodes)
+    idx_chunks, gamma_chunks = [], []
+    for cascade in cs:
+        hits = np.nonzero(cascade.nodes == target)[0]
+        if hits.size == 0:
+            exposure[cascade.nodes] += np.asarray(shaping.cumulative(cascade.times, cs.window))
+        elif hits[0] > 0:
+            r = int(hits[0])
+            parents, pt, ti = cascade.nodes[:r], cascade.times[:r], cascade.times[r]
+            exposure[parents] += np.asarray(shaping.cumulative(pt, ti))
+            idx_chunks.append(parents)
+            gamma_chunks.append(np.asarray(shaping.hazard(pt, ti)))
+    if not idx_chunks:
+        return exposure, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)
+    offsets = np.cumsum([0] + [len(c) for c in idx_chunks[:-1]])
+    return exposure, np.concatenate(idx_chunks), np.concatenate(gamma_chunks), offsets
 
 
 def two_node_net(alpha):
@@ -206,6 +249,28 @@ class TestGradient:
         assert grad[0, 2] == pytest.approx(-2 * EXP.cumulative(0.0, 2.0))
         assert grad[1, 2] == pytest.approx(-2 * EXP.cumulative(0.5, 2.0))
 
+    def test_matches_naive_reimplementation(self):
+        for seed in range(5):
+            for variant in hn.SHAPING_VARIANTS:
+                net, shaping, cs = additive_instance(seed, variant=variant)
+                got = hn.additive_gradient(net, shaping, cs)
+                want = naive_gradient(net, shaping, cs)
+                scale = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-300)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_packed_columns_equal_per_cascade_build(self):
+        for seed in range(5):
+            for variant in hn.SHAPING_VARIANTS:
+                _, shaping, cs = additive_instance(seed, variant=variant)
+                packed = PackedCascades(cs)
+                for i in range(cs.num_nodes):
+                    column = _column(packed, shaping, i)
+                    exposure, parents, gamma, offsets = naive_column(cs, shaping, i)
+                    assert np.array_equal(column.exposure, exposure)
+                    assert np.array_equal(column.parents, parents)
+                    assert np.array_equal(column.gamma, gamma)
+                    assert np.array_equal(column.segments.offsets, offsets)
+
     def test_rejects_zero_hazard_infection(self):
         net = two_node_net(0.0)
         c = hn.Cascade.from_events([(0, 0.0), (1, 1.0)])
@@ -313,6 +378,15 @@ class TestInference:
     def test_empty_cascade_set_rejected(self):
         with pytest.raises(ValueError, match="cascade"):
             hn.infer_additive(hn.CascadeSet(2, 1.0, ()), hn.AdditiveConfig(shaping=EXP))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_init_rejected(self, bad):
+        _, shaping, cs = additive_instance(40, n_nodes=4, n_cascades=10)
+        init = np.full((4, 4), 0.2)
+        np.fill_diagonal(init, 0.0)
+        init[1, 2] = bad
+        with pytest.raises(ValueError, match="init must be finite"):
+            hn.infer_additive(cs, hn.AdditiveConfig(shaping=shaping), init=init)
 
     def test_unexplainable_data_rejected(self):
         # both infections are closer than the power kernel's floor allows

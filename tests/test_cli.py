@@ -79,6 +79,13 @@ class TestSimulate:
         assert res.exit_code == 1
         assert "nope.txt" in res.output
 
+    def test_overflowing_baseline_scale_is_a_runtime_error(self, runner, tmp_path):
+        net = self._network(runner, tmp_path, model="multiplicative")
+        res = run(runner, "simulate", "--network", net, "--cascades", 5, "--a0", 710,
+                  "--out", tmp_path / "c.txt")
+        assert res.exit_code == 1
+        assert "Error:" in res.output and "log_scale" in res.output
+
 
 class TestInferEvaluate:
     def _pipeline(self, runner, tmp_path, model, extra=()):

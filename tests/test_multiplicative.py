@@ -8,6 +8,8 @@ from scipy.integrate import quad
 
 import hazardnet as hn
 from conftest import multiplicative_instance
+from hazardnet.multiplicative import _column
+from hazardnet.optim import PackedCascades
 
 CONST = hn.Baseline(hn.CONSTANT, 0.0)
 
@@ -50,6 +52,65 @@ def naive_loglik(params, baseline, mask, cascade, num_nodes, window):
     return total
 
 
+def interval_weights(cascade, baseline, window):
+    rights = np.concatenate([cascade.times[1:], [window]])
+    return np.asarray(baseline.integral(cascade.times, rights))
+
+
+def naive_gradient(net, baseline, mask, cs):
+    """Per-event reimplementation of the masked set gradient: one pass per
+    infected target and per uninfected node over its exposure intervals."""
+    A = np.where(mask.matrix, net.params, 0.0)
+    N = net.num_nodes
+    grad = np.zeros((N, N))
+    all_nodes = np.arange(N)
+    for cascade in cs:
+        nodes = cascade.nodes
+        weights = interval_weights(cascade, baseline, cs.window)
+
+        def exposure_pull(target, upto):
+            if upto == 0:
+                return
+            prefix = np.cumsum(A[nodes[:upto], target])
+            terms = np.exp(prefix) * weights[:upto]
+            # d exposure / d alpha_{k, target} sums the intervals where k is active
+            grad[nodes[:upto], target] -= np.cumsum(terms[::-1])[::-1]
+
+        for r in range(1, nodes.size):
+            grad[nodes[:r], nodes[r]] += 1.0
+            exposure_pull(int(nodes[r]), r)
+        for n in np.setdiff1d(all_nodes, nodes, assume_unique=True):
+            exposure_pull(int(n), nodes.size)
+    grad[~mask.matrix] = 0.0
+    return grad
+
+
+def naive_counts(cs):
+    """Per-cascade co-infection counts: (j, i) gains one where j precedes i."""
+    counts = np.zeros((cs.num_nodes, cs.num_nodes))
+    for cascade in cs:
+        nodes = cascade.nodes
+        counts[np.ix_(nodes, nodes)] += np.triu(np.ones((nodes.size, nodes.size)), k=1)
+    return counts
+
+
+def naive_column(cs, baseline, target):
+    """Per-cascade build of one column's (nodes, weights, offsets): every
+    interval before the target's infection, or all of them if it has none."""
+    node_chunks, weight_chunks = [], []
+    for cascade in cs:
+        hits = np.nonzero(cascade.nodes == target)[0]
+        upto = cascade.size if hits.size == 0 else int(hits[0])
+        if upto == 0:
+            continue
+        node_chunks.append(cascade.nodes[:upto])
+        weight_chunks.append(interval_weights(cascade, baseline, cs.window)[:upto])
+    if not node_chunks:
+        return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)
+    offsets = np.cumsum([0] + [len(c) for c in node_chunks[:-1]])
+    return np.concatenate(node_chunks), np.concatenate(weight_chunks), offsets
+
+
 class TestSupportMask:
     def test_disjoint_cascades(self):
         c1 = hn.Cascade.from_events([(0, 0.0), (1, 1.0)])
@@ -69,6 +130,14 @@ class TestSupportMask:
     def test_empty_set(self):
         mask = hn.build_support(hn.CascadeSet(3, 2.0, ()))
         assert not mask.matrix.any()
+
+    def test_packed_counts_equal_per_cascade_build(self):
+        for seed in range(5):
+            for variant in hn.BASELINE_VARIANTS:
+                _, _, mask, cs = multiplicative_instance(seed, variant=variant)
+                counts = naive_counts(cs)
+                assert np.array_equal(PackedCascades(cs).coinfection_counts(), counts)
+                assert np.array_equal(mask.matrix, counts > 0)
 
     def test_diagonal_must_stay_false(self):
         with pytest.raises(ValueError, match="diagonal"):
@@ -204,6 +273,28 @@ class TestGradient:
                 rel = abs(fd - grad[j, i]) / max(abs(fd), abs(grad[j, i]), 1.0)
                 assert rel < 1e-5
 
+    def test_matches_naive_reimplementation(self):
+        for seed in range(5):
+            for variant in hn.BASELINE_VARIANTS:
+                net, base, mask, cs = multiplicative_instance(seed, variant=variant)
+                got = hn.multiplicative_gradient(net, base, mask, cs)
+                want = naive_gradient(net, base, mask, cs)
+                scale = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-300)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_packed_columns_equal_per_cascade_build(self):
+        for seed in range(5):
+            for variant in hn.BASELINE_VARIANTS:
+                _, base, _, cs = multiplicative_instance(seed, variant=variant)
+                packed = PackedCascades(cs)
+                weights = packed.interval_weights(base)
+                for i in range(cs.num_nodes):
+                    column = _column(packed, weights, i)
+                    nodes, flat_weights, offsets = naive_column(cs, base, i)
+                    assert np.array_equal(column.nodes, nodes)
+                    assert np.array_equal(column.weights, flat_weights)
+                    assert np.array_equal(column.segments.offsets, offsets)
+
     def test_zero_matrix_closed_form(self):
         # at A = 0 with unit baseline: count of (k before i) minus i's exposed
         # time after t_k
@@ -294,6 +385,14 @@ class TestInference:
         a = hn.infer_multiplicative(cs, cfg)
         b = hn.infer_multiplicative(cs, cfg, workers=3)
         np.testing.assert_array_equal(a.network.params, b.network.params)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_init_rejected(self, bad):
+        _, base, _, cs = multiplicative_instance(90, n_nodes=4, n_cascades=10)
+        init = np.zeros((4, 4))
+        init[2, 1] = bad
+        with pytest.raises(ValueError, match="init must be finite"):
+            hn.infer_multiplicative(cs, hn.MultiplicativeConfig(baseline=base), init=init)
 
     def test_kkt_conditions_hold_at_the_solution(self):
         _, base, mask, cs = multiplicative_instance(86, n_nodes=6, n_cascades=60)

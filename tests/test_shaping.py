@@ -152,6 +152,11 @@ class TestBaseline:
         base = hn.Baseline(hn.INVERSE, epsilon=1e-2)
         assert base.log_rate(5e-3) == -np.inf
 
+    def test_log_scale_whose_exponential_overflows_rejected(self):
+        assert np.isfinite(hn.Baseline(hn.CONSTANT, log_scale=709.0).rate(1.0))
+        with pytest.raises(ValueError, match="log_scale"):
+            hn.Baseline(hn.CONSTANT, log_scale=710.0)
+
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             hn.Baseline(hn.INVERSE, epsilon=0.0)
