@@ -7,8 +7,8 @@ the rate matrix and separates over target-node columns, so the solver runs
 one projected-gradient subproblem per column. Each column's data (exposure
 coefficients, parents and kernel values of each explained infection) is
 gathered from the packed cascade set of :mod:`hazardnet.optim`; the set
-gradient reads the same columns, and the shared column runner there runs
-the solves.
+gradient reads the same columns, and the shared column runner there solves
+them one after another.
 """
 
 from __future__ import annotations
@@ -21,7 +21,15 @@ import numpy as np
 
 from .optim import PackedCascades, Segments, relative_change, segment_sums, solve_columns
 from .shaping import ShapingFunction
-from .types import ADDITIVE, Cascade, CascadeSet, InferenceResult, Network
+from .types import (
+    ADDITIVE,
+    Cascade,
+    CascadeSet,
+    InferenceResult,
+    Network,
+    check_kind,
+    check_window,
+)
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
@@ -34,28 +42,12 @@ class AdditiveConfig:
     shaping: ShapingFunction
     max_iters: int = 2000
     tol: float = 1e-8
-    step_init: float = 1.0
-    edge_threshold: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if not self.step_init > 0.0:
-            raise ValueError("step_init must be positive")
-        if self.edge_threshold < 0.0:
-            raise ValueError("edge_threshold must be nonnegative")
-
-
-def _check_additive(net: Network) -> None:
-    if net.kind != ADDITIVE:
-        raise ValueError(f"expected an additive network, got {net.kind}")
-
-
-def _check_window(cascade: Cascade, window: float) -> None:
-    if cascade.times[-1] > window:
-        raise ValueError("cascade has infections beyond the observation window")
 
 
 def additive_cascade_loglik(
@@ -73,8 +65,8 @@ def additive_cascade_loglik(
     own infection time, i.e. no parameter value can explain the event.
     Raises ValueError when an infection lies beyond ``window``.
     """
-    _check_additive(net)
-    _check_window(cascade, window)
+    check_kind(net, ADDITIVE)
+    check_window(cascade, window)
     A = net.params
     nodes, times = cascade.nodes, cascade.times
     from_infected = A[nodes]
@@ -108,8 +100,8 @@ def independent_cascade_loglik(
     independent cascade family defines it; uninfected nodes contribute the
     product of their pairwise survivals past the window.
     """
-    _check_additive(net)
-    _check_window(cascade, window)
+    check_kind(net, ADDITIVE)
+    check_window(cascade, window)
     A = net.params
     nodes, times = cascade.nodes, cascade.times
     ll = 0.0
@@ -134,20 +126,6 @@ def independent_cascade_loglik(
     return ll
 
 
-def loglik_factorization_pair(
-    net: Network, shaping: ShapingFunction, cascade: Cascade, window: float
-) -> tuple[float, float]:
-    """Cascade log-likelihood via both routes (direct, pairwise-factorized).
-
-    The two values agree up to floating point; the pair is exposed so the
-    identity can be checked on arbitrary instances.
-    """
-    return (
-        additive_cascade_loglik(net, shaping, cascade, window),
-        independent_cascade_loglik(net, shaping, cascade, window),
-    )
-
-
 def additive_gradient(net: Network, shaping: ShapingFunction, cs: CascadeSet) -> np.ndarray:
     """Gradient of the set log-likelihood with respect to the rate matrix.
 
@@ -157,7 +135,7 @@ def additive_gradient(net: Network, shaping: ShapingFunction, cs: CascadeSet) ->
     gradient the solver uses, gathered from the packed cascade set.
     Diagonal entries stay zero.
     """
-    _check_additive(net)
+    check_kind(net, ADDITIVE)
     packed = PackedCascades(cs)
     grad = np.zeros((net.num_nodes, net.num_nodes))
     for i in range(net.num_nodes):
@@ -258,7 +236,7 @@ def _solve_column(
     f = value(x)
     trace = [f]
     grad = gradient(x)
-    step = cfg.step_init
+    step = 1.0
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
@@ -285,14 +263,12 @@ def infer_additive(
     cs: CascadeSet,
     cfg: AdditiveConfig,
     init: Network | np.ndarray | None = None,
-    workers: int = 1,
 ) -> InferenceResult:
     """Nonnegativity-constrained MLE of the additive rate matrix.
 
     The objective separates over target columns; each column is solved
-    independently (optionally across ``workers`` threads — results do not
-    depend on the worker count). Columns whose node is never infected after
-    another node are zero immediately.
+    independently. Columns whose node is never infected after another node
+    are zero immediately.
     """
     if len(cs) == 0:
         raise ValueError("need at least one cascade to infer from")
@@ -307,4 +283,4 @@ def infer_additive(
             )
         return _solve_column(i, column, cfg, x0)
 
-    return solve_columns(cs, ADDITIVE, init, 0.1, solve, workers)
+    return solve_columns(cs, ADDITIVE, init, 0.1, solve)

@@ -172,33 +172,28 @@ def simulate(network, cascades, window, shaping, delta, baseline, a0, epsilon,
               help="L1 penalty weight (multiplicative; default 0.01*C/N).")
 @click.option("--max-iters", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--edge-threshold", type=float, default=1e-4, show_default=True)
-@click.option("--accelerate", is_flag=True,
-              help="Momentum acceleration for the multiplicative solver.")
+@click.option("--edge-threshold", type=click.FloatRange(min=0.0), default=1e-4,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 @click.option("--trace", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Optional CSV of the objective per iteration.")
 @_runtime_errors
 def infer(model, cascades_path, shaping, delta, baseline, a0, epsilon, l1_penalty,
-          max_iters, tol, edge_threshold, accelerate, seed, threads, out, trace) -> None:
+          max_iters, tol, edge_threshold, seed, out, trace) -> None:
     """Fit a network to recorded cascades by maximum likelihood."""
     cs = read_cascades(ensure_exists(cascades_path, "cascade file"))
     if model == ADDITIVE:
         cfg = AdditiveConfig(
-            shaping=_build_shaping(shaping, delta),
-            max_iters=max_iters, tol=tol, edge_threshold=edge_threshold,
+            shaping=_build_shaping(shaping, delta), max_iters=max_iters, tol=tol
         )
-        result = infer_additive(cs, cfg, workers=threads)
+        result = infer_additive(cs, cfg)
     else:
         cfg = MultiplicativeConfig(
             baseline=_build_baseline(baseline, a0, epsilon),
-            l1_penalty=l1_penalty,
-            max_iters=max_iters, tol=tol, edge_threshold=edge_threshold,
-            accelerate=accelerate,
+            l1_penalty=l1_penalty, max_iters=max_iters, tol=tol,
         )
-        result = infer_multiplicative(cs, cfg, workers=threads)
+        result = infer_multiplicative(cs, cfg)
     write_network(out, result.network, metadata={"seed": seed, "converged": result.converged})
     if trace is not None:
         write_csv(

@@ -14,12 +14,7 @@ import math
 import numpy as np
 
 from .shaping import Baseline, ShapingFunction
-from .types import ADDITIVE, MULTIPLICATIVE, Cascade, Network
-
-
-def _check_kind(net: Network, kind: str) -> None:
-    if net.kind != kind:
-        raise ValueError(f"expected a {kind} network, got {net.kind}")
+from .types import ADDITIVE, MULTIPLICATIVE, Cascade, Network, check_kind
 
 
 def _check_node(net: Network, node: int) -> None:
@@ -50,7 +45,7 @@ def additive_hazard(
     Sum over nodes infected strictly before ``t`` of their edge rate times
     the shaping kernel evaluated at the parent's age.
     """
-    _check_kind(net, ADDITIVE)
+    check_kind(net, ADDITIVE)
     _check_node(net, node)
     parents, times = _parents_before(cascade, node, t)
     if parents.size == 0:
@@ -63,7 +58,7 @@ def additive_cumulative_hazard(
     net: Network, shaping: ShapingFunction, cascade: Cascade, node: int, t: float
 ) -> float:
     """Integral of :func:`additive_hazard` over [0, t], in closed form."""
-    _check_kind(net, ADDITIVE)
+    check_kind(net, ADDITIVE)
     _check_node(net, node)
     parents, times = _parents_before(cascade, node, t)
     if parents.size == 0:
@@ -93,7 +88,7 @@ def multiplicative_hazard(
     net: Network, baseline: Baseline, cascade: Cascade, node: int, t: float
 ) -> float:
     """Baseline rate at ``t`` scaled by exp(sum of influences of prior infections)."""
-    _check_kind(net, MULTIPLICATIVE)
+    check_kind(net, MULTIPLICATIVE)
     _check_node(net, node)
     _require_susceptible(cascade, node, t)
     parents, _ = _parents_before(cascade, node, t)
@@ -111,7 +106,7 @@ def multiplicative_cumulative_hazard(
     is a sum of baseline interval integrals weighted by exp of the running
     influence total.
     """
-    _check_kind(net, MULTIPLICATIVE)
+    check_kind(net, MULTIPLICATIVE)
     _check_node(net, node)
     if t <= 0.0:
         return 0.0

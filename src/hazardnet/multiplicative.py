@@ -11,7 +11,7 @@ remaining entries are estimated by proximal gradient with soft-thresholding.
 The packed cascade set of :mod:`hazardnet.optim` supplies the interval
 weights, the co-infection counts (the support mask is count > 0) and each
 column's exposure intervals; the set gradient reads the same columns, and
-the shared column runner there runs the solves.
+the shared column runner there solves them one after another.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .types import (
     CascadeSet,
     InferenceResult,
     Network,
+    check_kind,
+    check_window,
 )
 
 _MIN_STEP = 1e-20
@@ -55,8 +57,6 @@ class MultiplicativeConfig:
     l1_penalty: float | None = None
     max_iters: int = 2000
     tol: float = 1e-8
-    step_init: float = 1.0
-    edge_threshold: float = 1e-4
     accelerate: bool = False
 
     def __post_init__(self) -> None:
@@ -66,10 +66,6 @@ class MultiplicativeConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if not self.step_init > 0.0:
-            raise ValueError("step_init must be positive")
-        if self.edge_threshold < 0.0:
-            raise ValueError("edge_threshold must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,6 @@ def build_support(cs: CascadeSet) -> SupportMask:
     return SupportMask(PackedCascades(cs).coinfection_counts() > 0.0)
 
 
-def _check_multiplicative(net: Network) -> None:
-    if net.kind != MULTIPLICATIVE:
-        raise ValueError(f"expected a multiplicative network, got {net.kind}")
-
-
 def _masked_params(net: Network, mask: SupportMask) -> np.ndarray:
     if mask.num_nodes != net.num_nodes:
         raise ValueError("mask and network sizes differ")
@@ -151,14 +142,15 @@ def multiplicative_cascade_loglik(
     (e.g. before the inverse baseline's ``epsilon``). Raises ValueError when
     an infection lies beyond ``window``.
     """
-    _check_multiplicative(net)
-    if cascade.times[-1] > window:
-        raise ValueError("cascade has infections beyond the observation window")
+    check_kind(net, MULTIPLICATIVE)
+    check_window(cascade, window)
     A = _masked_params(net, mask)
     nodes, times = cascade.nodes, cascade.times
     weights = _interval_weights(cascade, baseline, window)
     prefix = np.cumsum(A[nodes], axis=0)
-    exposure = np.cumsum(np.exp(prefix) * weights[:, None], axis=0)
+    # a node's cells past its own infection are never read and may overflow
+    with np.errstate(over="ignore"):
+        exposure = np.cumsum(np.exp(prefix) * weights[:, None], axis=0)
     before, targets = np.arange(nodes.size - 1), nodes[1:]
     ll = float(prefix[before, targets].sum())
     ll += float(np.sum(baseline.log_rate(times[1:])))
@@ -191,7 +183,7 @@ def multiplicative_gradient(
     Each column is the negated column-NLL gradient the solver uses, gathered
     from the packed cascade set.
     """
-    _check_multiplicative(net)
+    check_kind(net, MULTIPLICATIVE)
     A = _masked_params(net, mask)
     packed = PackedCascades(cs)
     weights = packed.interval_weights(baseline)
@@ -228,7 +220,7 @@ def multiplicative_kkt_violation(
 
 def extract_signed_edges(net: Network, threshold: float) -> list[SignedEdge]:
     """Edges with |influence| above ``threshold``, labeled by sign."""
-    _check_multiplicative(net)
+    check_kind(net, MULTIPLICATIVE)
     out: list[SignedEdge] = []
     for j, i in np.argwhere(np.abs(net.params) > threshold):
         w = float(net.params[j, i])
@@ -298,7 +290,7 @@ def _solve_column_mult(
     trace = [objective]
     base, f_base, grad_base = x, f, grad  # extrapolation point (== x when plain)
     t_k = 1.0
-    step = cfg.step_init
+    step = 1.0
     converged = False
     iterations = 0
 
@@ -349,13 +341,11 @@ def infer_multiplicative(
     cs: CascadeSet,
     cfg: MultiplicativeConfig,
     init: Network | np.ndarray | None = None,
-    workers: int = 1,
 ) -> InferenceResult:
     """L1-regularized MLE of the multiplicative influence matrix.
 
     Parameters outside the data's support mask are frozen at zero and never
-    enter the objective. Columns solve independently (optionally across
-    ``workers`` threads; the result does not depend on the worker count).
+    enter the objective. Columns solve independently.
     """
     if len(cs) == 0:
         raise ValueError("need at least one cascade to infer from")
@@ -377,4 +367,4 @@ def infer_multiplicative(
         column = _column(packed, weights, i)
         return _solve_column_mult(free, counts[:, i], float(const[i]), column, penalty, cfg, x0)
 
-    return solve_columns(cs, MULTIPLICATIVE, init, 0.0, solve, workers)
+    return solve_columns(cs, MULTIPLICATIVE, init, 0.0, solve)

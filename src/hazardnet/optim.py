@@ -5,13 +5,13 @@ Both likelihoods separate over target-node columns, and every column reads
 the events each cascade shows before the target's infection (all of them
 where the target stays uninfected). The cascade set is packed once into flat
 arrays, and each column gathers its ragged per-cascade segments from them in
-cascade order, so every sum runs in the order of a per-cascade loop. Columns
-are built and dropped one at a time: memory stays O(events + C * N).
+cascade order, so every sum runs in the order of a per-cascade loop. The
+runner solves the columns one after another, each built and dropped in
+turn: memory stays O(events + C * N).
 """
 
 from __future__ import annotations
 
-from concurrent import futures
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -127,14 +127,12 @@ def solve_columns(
     init: Network | np.ndarray | None,
     default: float,
     solve: Callable[[int, np.ndarray], ColumnSolution],
-    workers: int,
 ) -> InferenceResult:
     """Solve every target column and assemble the fitted network.
 
     ``solve(i, x0)`` returns (column, objective trace, converged, iterations)
     for column i started at ``x0``. Without ``init`` every off-diagonal entry
-    starts at ``default``. Columns are independent, so ``workers`` threads
-    give the same result as one.
+    starts at ``default``.
     """
     N = cs.num_nodes
     if init is None:
@@ -148,11 +146,7 @@ def solve_columns(
             raise ValueError("init must be finite")
         if kind == ADDITIVE and np.any(start < 0.0):
             raise ValueError("init must be nonnegative")
-    if workers > 1:
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, range(N), start.T))
-    else:
-        results = list(map(solve, range(N), start.T))
+    results = list(map(solve, range(N), start.T))
     params = np.column_stack([r[0] for r in results])
     np.fill_diagonal(params, 0.0)
     return InferenceResult(

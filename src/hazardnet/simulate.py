@@ -4,10 +4,11 @@ exact cascade sampling.
 Sampling draws one uniform per node up front and infects the node when its
 cumulative hazard reaches -log(1 - u), i.e. maps the uniform through the
 inverse CDF. Every node carries a running state of the hazard its infected
-parents have built up: the sums of alpha, alpha * t_j and alpha * t_j**2
-over its parents for the exponential and rayleigh kernels; the hazard spent
-up to its latest parent, that parent's time and the log-multiplier since
-then for a baseline. When an event commits, every susceptible node the new
+parents have built up: the sums of alpha and alpha * t_j over its parents
+for the exponential kernel; their total alpha and the alpha-weighted mean
+and spread of their times for the rayleigh kernel; the hazard spent up to
+its latest parent, that parent's time and the log-multiplier since then for
+a baseline. When an event commits, every susceptible node the new
 infection touches updates its state and has its tentative time re-inverted
 in closed form, all in one array pass. Only power-kernel targets with
 several parents are solved one by one, by bisection.
@@ -196,33 +197,55 @@ def _invert_power(
 
 
 class _KernelSums:
-    """Hazard state of each target under the exponential or rayleigh kernel.
+    """Hazard state of each target under the exponential kernel.
 
-    s0, s1 and s2 are the sums of alpha, alpha * t_j and alpha * t_j**2 over
-    the target's infected parents. From its latest parent on, the cumulative
-    hazard is s0*t - s1 (exponential) or (s0*t**2 - 2*s1*t + s2) / 2
-    (rayleigh), and the tentative time is that curve's root at the target.
+    s0 and s1 are the sums of alpha and alpha * t_j over the target's
+    infected parents. From its latest parent on, the cumulative hazard is
+    s0*t - s1, and the tentative time is its root at the target.
     """
 
-    def __init__(self, shaping: ShapingFunction, targets: np.ndarray) -> None:
-        self.rayleigh = shaping.variant == RAYLEIGH
+    def __init__(self, targets: np.ndarray) -> None:
         self.targets = targets
-        self.s0, self.s1, self.s2 = (np.zeros(targets.size) for _ in range(3))
+        self.s0, self.s1 = np.zeros(targets.size), np.zeros(targets.size)
 
     def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
         self.s0[idx] += alphas
         self.s1[idx] += alphas * t
-        if self.rayleigh:
-            self.s2[idx] += alphas * (t * t)
 
     def times(self, idx: np.ndarray) -> np.ndarray:
-        s0, top = self.s0[idx], self.s1[idx]
-        if self.rayleigh:
-            disc = top * top - s0 * self.s2[idx] + 2.0 * s0 * self.targets[idx]
-            top += np.sqrt(np.maximum(disc, 0.0))
-        else:
-            top += self.targets[idx]
+        s0, top = self.s0[idx], self.s1[idx] + self.targets[idx]
         return np.divide(top, s0, out=np.full(idx.size, math.inf), where=s0 > 0.0)
+
+
+class _RayleighMoments:
+    """Hazard state of each target under the rayleigh kernel.
+
+    ``weight`` is the sum of alpha over the target's infected parents,
+    ``mean`` the alpha-weighted mean of their times and ``spread`` the sum of
+    alpha * (t_j - mean)**2, all kept by weighted Welford updates. From its
+    latest parent on, the cumulative hazard is
+    (weight * (t - mean)**2 + spread) / 2, inverted without the cancellation
+    that raw power sums of the times suffer.
+    """
+
+    def __init__(self, targets: np.ndarray) -> None:
+        self.targets = targets
+        self.weight, self.mean, self.spread = (np.zeros(targets.size) for _ in range(3))
+
+    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
+        weight = self.weight[idx] + alphas
+        shift = t - self.mean[idx]
+        mean = self.mean[idx] + alphas / weight * shift
+        self.spread[idx] += alphas * shift * (t - mean)
+        self.weight[idx], self.mean[idx] = weight, mean
+
+    def times(self, idx: np.ndarray) -> np.ndarray:
+        weight = self.weight[idx]
+        square = np.divide(
+            2.0 * self.targets[idx] - self.spread[idx], weight,
+            out=np.full(idx.size, math.inf), where=weight > 0.0,
+        )
+        return self.mean[idx] + np.sqrt(np.maximum(square, 0.0))
 
 
 class _PowerKernel:
@@ -290,7 +313,9 @@ def _running_hazard(model: ShapingFunction | Baseline, targets: np.ndarray, wind
         return _BaselineExposure(model, targets)
     if model.variant == POWER:
         return _PowerKernel(model, targets, window)
-    return _KernelSums(model, targets)
+    if model.variant == RAYLEIGH:
+        return _RayleighMoments(targets)
+    return _KernelSums(targets)
 
 
 def _check_pairing(net: Network, model: ShapingFunction | Baseline) -> None:

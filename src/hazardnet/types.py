@@ -1,7 +1,7 @@
 """Domain types shared by every part of the toolkit.
 
 All types are immutable after construction (arrays are frozen read-only), so
-they can be shared freely across worker threads.
+they can be shared freely without defensive copies.
 """
 
 from __future__ import annotations
@@ -149,6 +149,18 @@ class Network:
     def edges(self, threshold: float = 0.0) -> np.ndarray:
         """(E, 2) array of (j, i) pairs with |params[j, i]| > threshold."""
         return np.argwhere(np.abs(self.params) > threshold)
+
+
+def check_kind(net: Network, kind: str) -> None:
+    """Reject a network of the other model."""
+    if net.kind != kind:
+        article = "an" if kind == ADDITIVE else "a"
+        raise ValueError(f"expected {article} {kind} network, got {net.kind}")
+
+
+def check_window(cascade: Cascade, window: float) -> None:
+    if cascade.times[-1] > window:
+        raise ValueError("cascade has infections beyond the observation window")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """End-to-end command-line pipeline."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -125,6 +128,25 @@ class TestInferEvaluate:
                   "--cascades", tmp_path / "c.txt", "--out", tmp_path / "o.txt")
         assert res.exit_code == 2
 
+    def test_negative_edge_threshold_is_a_usage_error(self, runner, tmp_path):
+        res = run(runner, "infer", "--model", "additive", "--edge-threshold", -1,
+                  "--cascades", tmp_path / "c.txt", "--out", tmp_path / "o.txt")
+        assert res.exit_code == 2
+
+    def test_solver_surface(self, runner):
+        # one way to run a fit: no worker count, no unused solver knobs
+        fields = lambda cls: [f.name for f in dataclasses.fields(cls)]
+        assert fields(hn.AdditiveConfig) == ["shaping", "max_iters", "tol"]
+        assert fields(hn.MultiplicativeConfig) == [
+            "baseline", "l1_penalty", "max_iters", "tol", "accelerate"
+        ]
+        for infer in (hn.infer_additive, hn.infer_multiplicative):
+            assert list(inspect.signature(infer).parameters) == ["cs", "cfg", "init"]
+        res = run(runner, "infer", "--help")
+        assert res.exit_code == 0
+        assert "--threads" not in res.output
+        assert "--accelerate" not in res.output
+
     def test_evaluate_self_is_perfect(self, runner, tmp_path):
         net, _ = self._pipeline(runner, tmp_path, "additive")
         out = tmp_path / "metrics.csv"
@@ -216,7 +238,7 @@ class TestFullPipeline:
         assert run(runner, "simulate", "--network", true_net, "--cascades", 800,
                    "--window", 4, "--seed", 2, "--out", casc).exit_code == 0
         assert run(runner, "infer", "--model", "additive", "--shaping", "exp",
-                   "--cascades", casc, "--threads", 2, "--out", hat).exit_code == 0
+                   "--cascades", casc, "--out", hat).exit_code == 0
         assert run(runner, "evaluate", "--true-network", true_net,
                    "--inferred-network", hat, "--out", metrics).exit_code == 0
         rows = dict(line.split(",") for line in metrics.read_text().splitlines()[1:])

@@ -39,7 +39,7 @@ class TestAdditiveHazard:
     def test_rejects_multiplicative_network(self):
         net = two_node_net(0.5, hn.MULTIPLICATIVE)
         c = hn.Cascade.from_events([(0, 0.0)])
-        with pytest.raises(ValueError, match="additive"):
+        with pytest.raises(ValueError, match="expected an additive network"):
             hn.additive_hazard(net, EXP, c, 1, 1.0)
 
     def test_linear_in_parameters(self):

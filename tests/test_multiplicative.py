@@ -1,6 +1,7 @@
 """Multiplicative model: support mask, likelihood, gradient, L1 solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,18 @@ class TestCascadeLoglik:
         with pytest.raises(ValueError, match="window"):
             hn.multiplicative_cascade_loglik(net, CONST, full_mask(2), c, 1.0)
 
+    def test_huge_influence_on_an_earlier_node_warns_nothing(self):
+        # node 1's influence on the source overflows exp in a cell no term
+        # reads; the value stays finite and no overflow warning escapes
+        params = np.zeros((3, 3))
+        params[1, 0], params[0, 1] = 800.0, 0.3
+        net = hn.Network(params, hn.MULTIPLICATIVE)
+        c = hn.Cascade.from_events([(0, 0.0), (1, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hn.multiplicative_cascade_loglik(net, CONST, full_mask(3), c, 2.0)
+        assert got == pytest.approx(0.3 - math.exp(0.3) - 2.0, rel=1e-12)
+
     def test_inverse_baseline_infection_before_epsilon_is_minus_infinity(self):
         base = hn.Baseline(hn.INVERSE, log_scale=0.0, epsilon=0.1)
         net = two_node_net(0.5)
@@ -379,12 +392,13 @@ class TestInference:
         mask = hn.build_support(cs)
         assert np.all(result.network.params[~mask.matrix] == 0.0)
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         _, base, _, cs = multiplicative_instance(85, n_nodes=6, n_cascades=40)
         cfg = hn.MultiplicativeConfig(baseline=base)
         a = hn.infer_multiplicative(cs, cfg)
-        b = hn.infer_multiplicative(cs, cfg, workers=3)
+        b = hn.infer_multiplicative(cs, cfg)
         np.testing.assert_array_equal(a.network.params, b.network.params)
+        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_init_rejected(self, bad):

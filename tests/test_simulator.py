@@ -70,9 +70,11 @@ def reference_invert_additive(shaping, parent_times, alphas, target, t_max):
     s0 = float(act_alphas.sum())
     if shaping.variant == hn.EXPONENTIAL:
         return a + residual / s0
-    s1 = float(act_alphas @ act_times)
-    disc = s1 * s1 + 2.0 * s0 * (residual + 0.5 * s0 * a * a - s1 * a)
-    return (s1 + math.sqrt(max(disc, 0.0))) / s0
+    # rayleigh: sum alpha (t - t_j)**2 / 2 == target, centred on the
+    # alpha-weighted mean time to avoid cancellation
+    mean = float(act_alphas @ act_times) / s0
+    spread = float(act_alphas @ (act_times - mean) ** 2)
+    return mean + math.sqrt(max((2.0 * target - spread) / s0, 0.0))
 
 
 def reference_invert_multiplicative(baseline, parent_times, alphas, target, t_max):
@@ -292,6 +294,18 @@ class TestSingleNodeSampler:
             ]
         )
         assert kstest(infected, cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("u", [1e-6, 1e-10])
+    def test_rayleigh_single_parent_small_target_is_exact(self, u):
+        # the source has no edge to node 2; its one parent arrives at 1.7
+        params = np.zeros((3, 3))
+        params[1, 2] = 0.7
+        net = hn.Network(params, hn.ADDITIVE)
+        history = hn.Cascade.from_events([(0, 0.0), (1, 1.7)])
+        rayleigh = hn.ShapingFunction(hn.RAYLEIGH)
+        got = hn.infection_time_from_uniform(net, rayleigh, history, 2, u, 10.0)
+        want = 1.7 + math.sqrt(2.0 * -math.log1p(-u) / 0.7)
+        assert abs(got - want) <= 1e-15 * want
 
 
 class TestBatchedRefresh:
