@@ -171,7 +171,11 @@ def simulate(network, cascades, window, shaping, delta, baseline, a0, epsilon,
 @click.option("--lambda", "l1_penalty", type=float, default=None,
               help="L1 penalty weight (multiplicative; default 0.01*C/N).")
 @click.option("--max-iters", type=click.IntRange(min=1), default=2000, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0.0, min_open=True), default=1e-8,
+              show_default=True,
+              help="Stopping tolerance. Additive: bound on each column's KKT residual, "
+                   "scaled by max(1, largest exposure). Multiplicative: bound on the "
+                   "relative change of the objective between iterations.")
 @click.option("--edge-threshold", type=click.FloatRange(min=0.0), default=1e-4,
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -202,7 +206,7 @@ def infer(model, cascades_path, shaping, delta, baseline, a0, epsilon, l1_penalt
             [(k, float(v)) for k, v in enumerate(result.objective_trace)],
             metadata={"seed": seed},
         )
-    status = "converged" if result.converged else "hit the iteration cap (NOT converged)"
+    status = "converged" if result.converged else "NOT converged"
     edges = result.network.edge_count(edge_threshold)
     click.echo(f"{status} after {result.iterations} iterations; {edges} edges above "
                f"{edge_threshold}; wrote {out}")

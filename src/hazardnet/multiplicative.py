@@ -25,7 +25,6 @@ import numpy as np
 from .optim import (
     PackedCascades,
     Segments,
-    relative_change,
     segment_cumsum,
     segment_reverse_cumsum,
     soft_threshold,
@@ -256,6 +255,10 @@ def _nll_gradient(column: _Column, lam: np.ndarray, count_col: np.ndarray) -> np
     return np.bincount(column.nodes, weights=pulls, minlength=count_col.size) - count_col
 
 
+def _relative_change(previous: float, current: float) -> float:
+    return abs(previous - current) / max(abs(previous), 1.0)
+
+
 def _solve_column_mult(
     free: np.ndarray,
     count_col: np.ndarray,
@@ -269,7 +272,9 @@ def _solve_column_mult(
 
     With ``accelerate`` the extrapolated step is used, restarting the
     momentum whenever it would increase the objective, so the recorded
-    trace stays nonincreasing in both modes.
+    trace stays nonincreasing in both modes. A backtracking step that
+    shrinks below ``_MIN_STEP`` stops the column at its last accepted
+    point, unconverged.
     """
     N = count_col.size
 
@@ -311,19 +316,19 @@ def _solve_column_mult(
         step *= 2.0
         cand, f_cand, lam_cand, step = prox_step_from(base, f_base, grad_base, step)
         if cand is None:
-            return x, trace, True, iterations - 1
+            return x, trace, False, iterations - 1
         if cfg.accelerate and penalized(f_cand, cand) > objective and base is not x:
             # momentum overshoot: restart from the last accepted point
             t_k = 1.0
             cand, f_cand, lam_cand, step = prox_step_from(x, f, grad, step)
             if cand is None:
-                return x, trace, True, iterations - 1
+                return x, trace, False, iterations - 1
         previous_x, previous_obj = x, objective
         x, f = cand, f_cand
         grad = _nll_gradient(column, lam_cand, count_col)
         objective = penalized(f, x)
         trace.append(objective)
-        if relative_change(previous_obj, objective) < cfg.tol:
+        if _relative_change(previous_obj, objective) < cfg.tol:
             converged = True
             break
         if cfg.accelerate:

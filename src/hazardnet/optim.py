@@ -63,10 +63,6 @@ def segment_reverse_cumsum(values: np.ndarray, segments: Segments) -> np.ndarray
     return ends[segments.ids] - cs + values
 
 
-def relative_change(previous: float, current: float) -> float:
-    return abs(previous - current) / max(abs(previous), 1.0)
-
-
 class PackedCascades:
     """A cascade set as flat event arrays, built in one pass.
 

@@ -171,6 +171,12 @@ class InferenceResult:
     (column traces are summed; converged columns hold their final value).
     For L1-regularized solves the trace is the penalized objective, since
     that is the quantity the solver decreases monotonically.
+
+    ``converged`` is True only when every column met its solver's stopping
+    rule: for the additive model a certified KKT residual (see
+    ``AdditiveConfig``), for the multiplicative model a relative objective
+    change below ``tol``. A stalled line search or the iteration cap leaves
+    it False. ``iterations`` is the largest per-column iteration count.
     """
 
     network: Network

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import hazardnet as hn
 from conftest import additive_instance, random_additive_network
-from hazardnet.additive import _column
+from hazardnet.additive import _column, _nll_gradient, _rates, _solve_column
 from hazardnet.optim import PackedCascades
 
 EXP = hn.ShapingFunction(hn.EXPONENTIAL)
@@ -93,6 +94,49 @@ def naive_column(cs, shaping, target):
         return exposure, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)
     offsets = np.cumsum([0] + [len(c) for c in idx_chunks[:-1]])
     return exposure, np.concatenate(idx_chunks), np.concatenate(gamma_chunks), offsets
+
+
+def column_nll(column, x):
+    """The column objective exposure @ x - sum(log(rates)); inf where some
+    explained infection has zero hazard."""
+    rates = _rates(column, x)
+    if np.any(rates <= 0.0):
+        return math.inf
+    return float(column.exposure @ x - np.log(rates).sum())
+
+
+def projected_gradient_column(target, column, cfg, x0):
+    """The former column solver: projected gradient with Armijo backtracking,
+    stopped when the objective's relative change drops below ``cfg.tol``."""
+    x = x0.copy()
+    x[target] = 0.0
+    if column.parents.size == 0:
+        return np.zeros_like(x)
+    f = column_nll(column, x)
+    grad = _nll_gradient(column, _rates(column, x))
+    step = 1.0
+    for _ in range(cfg.max_iters):
+        step *= 2.0
+        while True:
+            cand = np.maximum(x - step * grad, 0.0)
+            f_cand = column_nll(column, cand)
+            if f_cand <= f + 1e-4 * float(grad @ (cand - x)):
+                break
+            step *= 0.5
+            if step < 1e-20:
+                return x
+        previous = f
+        x, f = cand, f_cand
+        if abs(previous - f) / max(abs(previous), 1.0) < cfg.tol:
+            break
+        grad = _nll_gradient(column, _rates(column, x))
+    return x
+
+
+def column_kkt(column, x):
+    """KKT residual of the nonnegative column problem at ``x``."""
+    grad = _nll_gradient(column, _rates(column, x))
+    return float(np.where(x > 0.0, np.abs(grad), np.maximum(-grad, 0.0)).max())
 
 
 def two_node_net(alpha):
@@ -279,6 +323,61 @@ class TestGradient:
             hn.additive_gradient(net, EXP, cs)
 
 
+class TestColumnSolver:
+    """The projected-Newton column solver against two independent oracles:
+    the former projected-gradient loop and scipy's L-BFGS-B."""
+
+    def columns(self, seed, variant):
+        _, shaping, cs = additive_instance(seed, variant=variant)
+        packed = PackedCascades(cs)
+        for i in range(cs.num_nodes):
+            x0 = np.full(cs.num_nodes, 0.1)
+            x0[i] = 0.0
+            yield i, _column(packed, shaping, i), hn.AdditiveConfig(shaping=shaping), x0
+
+    def test_objective_at_most_projected_gradient(self):
+        for seed in range(5):
+            for variant in hn.SHAPING_VARIANTS:
+                for i, column, cfg, x0 in self.columns(seed, variant):
+                    x, trace, converged, _ = _solve_column(column, cfg, x0)
+                    assert converged
+                    newton = column_nll(column, x)
+                    assert newton == trace[-1] or math.isclose(newton, trace[-1], rel_tol=1e-12)
+                    oracle = column_nll(column, projected_gradient_column(i, column, cfg, x0))
+                    assert newton <= oracle + 1e-9 * max(abs(oracle), 1.0)
+
+    def test_objective_at_most_lbfgsb(self):
+        for seed in range(5):
+            for variant in hn.SHAPING_VARIANTS:
+                for i, column, cfg, x0 in self.columns(seed, variant):
+                    x, _, _, _ = _solve_column(column, cfg, x0)
+                    bounds = [(0.0, 0.0) if j == i else (0.0, None) for j in range(x0.size)]
+
+                    def fun(y, column=column):
+                        value = column_nll(column, y)
+                        if not math.isfinite(value):
+                            return 1e300, np.zeros_like(y)
+                        return value, _nll_gradient(column, _rates(column, y))
+
+                    ref = minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                                   options={"maxiter": 20000, "ftol": 1e-15, "gtol": 1e-12})
+                    oracle = column_nll(column, ref.x)
+                    assert column_nll(column, x) <= oracle + 1e-9 * max(abs(oracle), 1.0)
+
+    def test_converged_fit_meets_the_documented_kkt_bound(self):
+        _, shaping, cs = additive_instance(41, n_nodes=32, n_cascades=200)
+        cfg = hn.AdditiveConfig(shaping=shaping)
+        result = hn.infer_additive(cs, cfg)
+        assert result.converged
+        packed = PackedCascades(cs)
+        limits = []
+        for i in range(32):
+            column = _column(packed, shaping, i)
+            limits.append(cfg.tol * max(1.0, column.exposure.max()))
+            assert column_kkt(column, result.network.params[:, i]) <= limits[-1]
+        assert hn.additive_kkt_violation(result.network, shaping, cs) <= max(limits)
+
+
 class TestFactorizedRoute:
     def test_identity_on_random_instances(self):
         for seed in range(6):
@@ -345,6 +444,25 @@ class TestInference:
         assert result.network.params[2, 1] == 0.0
         assert result.network.params[0, 1] > 0.0
         assert result.network.params[2, 3] > 0.0
+
+    def test_entries_without_evidence_end_at_exactly_zero(self):
+        # node 2 is never infected, so nothing informs the rate from it to node 1
+        c = hn.Cascade.from_events([(0, 0.0), (1, 0.6)])
+        cs = hn.CascadeSet(3, 2.0, (c,) * 10)
+        result = hn.infer_additive(cs, hn.AdditiveConfig(shaping=EXP))
+        assert result.converged
+        assert result.network.params[2, 1] == 0.0
+        assert result.network.params[0, 1] == pytest.approx(1.0 / 0.6)
+
+    def test_start_that_explains_no_infection_still_reaches_the_mle(self):
+        _, shaping, cs = additive_instance(42, n_nodes=6, n_cascades=40)
+        cfg = hn.AdditiveConfig(shaping=shaping)
+        zero = hn.infer_additive(cs, cfg, init=np.zeros((6, 6)))
+        default = hn.infer_additive(cs, cfg)
+        assert zero.converged
+        assert hn.additive_set_loglik(zero.network, shaping, cs) == pytest.approx(
+            hn.additive_set_loglik(default.network, shaping, cs), rel=1e-9
+        )
 
     def test_node_never_infected_after_another_gets_zero_column(self):
         # node 0 is always the source; nothing can explain an edge into it

@@ -133,6 +133,26 @@ class TestInferEvaluate:
                   "--cascades", tmp_path / "c.txt", "--out", tmp_path / "o.txt")
         assert res.exit_code == 2
 
+    def test_unconverged_fit_is_reported_without_a_cause(self, runner, tmp_path):
+        _, casc = self._pipeline(runner, tmp_path, "additive")
+        res = run(runner, "infer", "--model", "additive", "--shaping", "exp",
+                  "--max-iters", 1, "--cascades", casc, "--out", tmp_path / "hat.txt")
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("NOT converged after 1 iterations;")
+        assert "cap" not in res.output
+
+    def test_tol_help_names_what_it_bounds(self, runner):
+        res = run(runner, "infer", "--help")
+        assert res.exit_code == 0
+        text = " ".join(res.output.split())
+        assert "KKT residual" in text
+        assert "relative change of the objective" in text
+
+    def test_zero_tol_is_a_usage_error(self, runner, tmp_path):
+        res = run(runner, "infer", "--model", "additive", "--tol", 0,
+                  "--cascades", tmp_path / "c.txt", "--out", tmp_path / "o.txt")
+        assert res.exit_code == 2
+
     def test_solver_surface(self, runner):
         # one way to run a fit: no worker count, no unused solver knobs
         fields = lambda cls: [f.name for f in dataclasses.fields(cls)]

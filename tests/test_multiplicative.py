@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import hazardnet as hn
+import hazardnet.multiplicative as multiplicative
 from conftest import multiplicative_instance
 from hazardnet.multiplicative import _column
 from hazardnet.optim import PackedCascades
@@ -407,6 +408,23 @@ class TestInference:
         init[2, 1] = bad
         with pytest.raises(ValueError, match="init must be finite"):
             hn.infer_multiplicative(cs, hn.MultiplicativeConfig(baseline=base), init=init)
+
+    def test_line_search_stall_is_not_converged(self, monkeypatch):
+        # every point but the zero start evaluates to inf, so the first
+        # backtracking search shrinks its step below the floor
+        _, base, _, cs = multiplicative_instance(89, n_nodes=4, n_cascades=10)
+        exposure = multiplicative._exposure
+
+        def infinite_off_start(column, x):
+            total, lam = exposure(column, x)
+            return (total if not x.any() else math.inf), lam
+
+        monkeypatch.setattr(multiplicative, "_exposure", infinite_off_start)
+        cfg = hn.MultiplicativeConfig(baseline=base, l1_penalty=0.0)
+        result = hn.infer_multiplicative(cs, cfg)
+        assert not result.converged
+        assert result.iterations == 0
+        assert np.all(result.network.params == 0.0)
 
     def test_kkt_conditions_hold_at_the_solution(self):
         _, base, mask, cs = multiplicative_instance(86, n_nodes=6, n_cascades=60)
