@@ -168,14 +168,14 @@ def simulate(network, cascades, window, shaping, delta, baseline, a0, epsilon,
 @click.option("--cascades", "cascades_path", type=click.Path(dir_okay=False), required=True)
 @_shaping_options
 @_baseline_options
-@click.option("--lambda", "l1_penalty", type=float, default=None,
+@click.option("--lambda", "l1_penalty", type=click.FloatRange(min=0.0), default=None,
               help="L1 penalty weight (multiplicative; default 0.01*C/N).")
 @click.option("--max-iters", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--tol", type=click.FloatRange(min=0.0, min_open=True), default=1e-8,
               show_default=True,
-              help="Stopping tolerance. Additive: bound on each column's KKT residual, "
-                   "scaled by max(1, largest exposure). Multiplicative: bound on the "
-                   "relative change of the objective between iterations.")
+              help="Stopping tolerance: a column is converged once its KKT residual is at "
+                   "most tol * max(1, scale), the scale being the column's largest "
+                   "exposure (additive) or co-infection count (multiplicative).")
 @click.option("--edge-threshold", type=click.FloatRange(min=0.0), default=1e-4,
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

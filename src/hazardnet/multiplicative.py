@@ -6,7 +6,9 @@ a linear term (one count per ordered co-infection) minus a sum of
 exponentials of partial influence totals — convex in the matrix. Pairs never
 co-infected in order carry no upward pressure and would run off to -inf, so
 they are frozen at zero through a support mask built from the data; the
-remaining entries are estimated by proximal gradient with soft-thresholding.
+remaining entries are the L1-penalized MLE, solved column by column by a
+working-set orthant-wise Newton method that stops on the column's KKT
+residual (see :class:`MultiplicativeConfig`).
 
 The packed cascade set of :mod:`hazardnet.optim` supplies the interval
 weights, the co-infection counts (the support mask is count > 0) and each
@@ -27,7 +29,6 @@ from .optim import (
     Segments,
     segment_cumsum,
     segment_reverse_cumsum,
-    soft_threshold,
     solve_columns,
 )
 from .shaping import Baseline
@@ -41,7 +42,12 @@ from .types import (
     check_window,
 )
 
+_ARMIJO = 1e-4
 _MIN_STEP = 1e-20
+_GROWTH = 10  # violators a working set takes beyond its support's size
+_WAITING = 0.1  # inner bound, relative to the worst violator left out of W
+_TINY = np.finfo(np.float64).tiny
+_CHUNK = 1 << 16  # blocks per Hessian accumulation
 
 
 @dataclass(frozen=True)
@@ -49,18 +55,23 @@ class MultiplicativeConfig:
     """Solver knobs for :func:`infer_multiplicative`.
 
     ``l1_penalty`` of None picks the scale-aware default
-    0.01 * num_cascades / num_nodes at solve time.
+    0.01 * num_cascades / num_nodes at solve time; a given one must be
+    finite and nonnegative. A column is converged once its KKT residual
+    (|g + l1_penalty * sign(x)| on nonzero entries, |g| - l1_penalty past
+    zero on zero ones, over the entries inside the support mask) is at most
+    ``tol * max(1, largest co-infection count of the column)``; the counts
+    are the linear part of the column NLL, so the bound scales with the
+    data. ``max_iters`` caps the Newton steps per column.
     """
 
     baseline: Baseline
     l1_penalty: float | None = None
     max_iters: int = 2000
     tol: float = 1e-8
-    accelerate: bool = False
 
     def __post_init__(self) -> None:
-        if self.l1_penalty is not None and self.l1_penalty < 0.0:
-            raise ValueError("l1_penalty must be nonnegative")
+        if self.l1_penalty is not None and not 0.0 <= self.l1_penalty < math.inf:
+            raise ValueError("l1_penalty must be finite and nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0.0:
@@ -255,8 +266,188 @@ def _nll_gradient(column: _Column, lam: np.ndarray, count_col: np.ndarray) -> np
     return np.bincount(column.nodes, weights=pulls, minlength=count_col.size) - count_col
 
 
-def _relative_change(previous: float, current: float) -> float:
-    return abs(previous - current) / max(abs(previous), 1.0)
+class _Blocks(NamedTuple):
+    """A column restricted to a working set W of its nodes.
+
+    Each cascade segment is cut wherever a W node enters; a block runs from
+    that entry to the next one (or the segment's end) and carries the summed
+    weights of its intervals. The intervals before a segment's first W entry
+    keep a fixed hazard and are left out. Block b is preceded by
+    ``earlier[b]`` entries of its cascade, and ``pairs`` lists, block by
+    block, the flat Hessian index node(a) * |W| + node(b) of each of them;
+    ``pair_ends[b]`` is where block b's run ends. A full working set over
+    thousands of cascades has millions of pairs, so they are kept as int32.
+    """
+
+    nodes: np.ndarray  # position in W of each block's entering node
+    weights: np.ndarray
+    segments: Segments
+    earlier: np.ndarray
+    pairs: np.ndarray
+    pair_ends: np.ndarray
+
+
+def _restrict(column: _Column, working: np.ndarray, size: int) -> _Blocks:
+    """The column's blocks for the working set ``working`` of ``size`` nodes."""
+    local = np.full(size, -1)
+    local[working] = np.arange(working.size)
+    position = local[column.nodes]
+    entry = position >= 0
+    starts = np.flatnonzero(entry)
+    seen = np.cumsum(entry)
+    offsets, ids = column.segments.offsets, column.segments.ids
+    inside = seen > (seen[offsets] - entry[offsets])[ids]
+    weights = np.bincount(seen[inside] - 1, weights=column.weights[inside], minlength=starts.size)
+    lengths = np.bincount(ids[starts], minlength=offsets.size)
+    segments = Segments.of_lengths(lengths[lengths > 0])
+    nodes = position[starts]
+    first = segments.offsets[segments.ids]
+    earlier = np.arange(starts.size) - first
+    pair_ends = np.cumsum(earlier)
+    # the k-th pair of block b, at pair_ends[b] - earlier[b] + k, is entry first[b] + k
+    partner = np.arange(pair_ends[-1], dtype=np.int32)  # every W node enters somewhere
+    partner -= np.repeat((pair_ends - earlier - first).astype(np.int32), earlier)
+    narrow = nodes.astype(np.int32)
+    pairs = narrow[partner]
+    del partner  # as large as pairs: free it before the next temporary
+    pairs *= working.size
+    pairs += np.repeat(narrow, earlier)
+    return _Blocks(nodes, weights, segments, earlier, pairs, pair_ends)
+
+
+def _block_hazards(blocks: _Blocks, v: np.ndarray) -> np.ndarray:
+    """Hazard accrued in each block at working-set values ``v``."""
+    return np.exp(segment_cumsum(v[blocks.nodes], blocks.segments)) * blocks.weights
+
+
+def _hazard_change(blocks: _Blocks, lam: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Change of each block's hazard ``lam`` when the values move by ``delta``."""
+    return lam * np.expm1(segment_cumsum(delta[blocks.nodes], blocks.segments))
+
+
+def _block_pulls(blocks: _Blocks, lam: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's pull (its hazard plus that of every later block of its
+    cascade) and each W node's summed pulls, the exposure part of the
+    restricted column NLL's gradient."""
+    pulls = segment_reverse_cumsum(lam, blocks.segments)
+    return pulls, np.bincount(blocks.nodes, weights=pulls, minlength=size)
+
+
+def _block_hessian(blocks: _Blocks, pulls: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Exact Hessian of the restricted column NLL: H[j, k] sums the pull of
+    the later of j's and k's entries over the cascades both enter, and the
+    diagonal is ``own``, each node's summed pulls. The pairs are summed
+    ``_CHUNK`` blocks at a time to keep the temporaries small."""
+    size = own.size
+    upper = 0.0  # a float sum even where bincount returns ints (no pairs)
+    for lo in range(0, pulls.size, _CHUNK):
+        hi = min(lo + _CHUNK, pulls.size)
+        run = blocks.pairs[blocks.pair_ends[lo] - blocks.earlier[lo] : blocks.pair_ends[hi - 1]]
+        weights = np.repeat(pulls[lo:hi], blocks.earlier[lo:hi])
+        upper = upper + np.bincount(run, weights=weights, minlength=size * size)
+    upper = upper.reshape(size, size)
+    hess = upper + upper.T
+    hess.flat[:: size + 1] = own
+    return hess
+
+
+def _orthant_direction(
+    hess: np.ndarray,
+    own: np.ndarray,
+    pg: np.ndarray,
+    orthant: np.ndarray,
+    entering: np.ndarray,
+    pinned: np.ndarray,
+) -> np.ndarray:
+    """Newton direction for the pseudo-gradient ``pg``; ``pinned`` entries
+    stay put and ``entering`` ones are zero entries free to leave zero.
+
+    An entering entry whose Newton component leaves its orthant is dropped
+    from the solve and takes the diagonal step -pg/H_jj (``own`` is H's
+    diagonal), and the rest is solved once more; a result that is no
+    descent direction gives way to the diagonal step. ``hess`` is
+    overwritten.
+    """
+    direction = _pinned_solve(hess, pg, pinned)
+    if direction is not None and entering.any():
+        leaving = entering & (np.sign(direction) != orthant)
+        if leaving.any():
+            direction = _pinned_solve(hess, pg, leaving)
+            if direction is not None:
+                direction[leaving] = -pg[leaving] / np.maximum(own[leaving], _TINY)
+                direction[entering & (np.sign(direction) != orthant)] = 0.0
+    if direction is not None and float(pg @ direction) < 0.0:
+        return direction
+    return -pg / np.maximum(own, _TINY)
+
+
+def _pinned_solve(hess: np.ndarray, pg: np.ndarray, pinned: np.ndarray) -> np.ndarray | None:
+    """-H^-1 pg with the ``pinned`` entries (and those pinned before, whose
+    rows ``hess`` already holds as identity rows) held at zero; None when
+    H is singular."""
+    if pinned.any():
+        hess[pinned] = 0.0
+        hess[:, pinned] = 0.0
+        hess[pinned, pinned] = 1.0
+        pg = np.where(pinned, 0.0, pg)
+    try:
+        return -np.linalg.solve(hess, pg)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _newton_steps(
+    blocks: _Blocks,
+    v: np.ndarray,
+    count_w: np.ndarray,
+    penalty: float,
+    limit: float,
+    budget: int,
+    trace: list[float],
+) -> tuple[np.ndarray, int, bool]:
+    """Orthant-wise Newton (Byrd et al. 2016) on the column restricted to W.
+
+    Runs from ``v`` for at most ``budget`` steps and appends each accepted
+    step's penalized objective to ``trace``. Returns the values, the steps
+    taken, and whether the line search stalled; it stops early once the
+    restricted KKT residual is at most ``limit``. The orthant is sign(v),
+    or -sign(g) where v is zero; a zero entry with |g| <= penalty is pinned.
+    Each trial clips the entries that cross zero and is accepted on the
+    exact change of the objective, which must be finite and meet the Armijo
+    condition along a move that decreases the orthant's linear model.
+    """
+    lam = _block_hazards(blocks, v)
+    for taken in range(budget):
+        pulls, own = _block_pulls(blocks, lam, v.size)
+        grad = own - count_w
+        zero = v == 0.0
+        orthant = np.sign(np.where(zero, -grad, v))
+        entering = zero & (np.abs(grad) > penalty)
+        pinned = zero ^ entering
+        pg = np.where(pinned, 0.0, grad + penalty * orthant)
+        if np.abs(pg).max() <= limit:
+            return v, taken, False
+        hess = _block_hessian(blocks, pulls, own)
+        direction = _orthant_direction(hess, own, pg, orthant, entering, pinned)
+        # every trial stays in the closed orthant, where the penalty is linear
+        linear = penalty * orthant - count_w
+        step = 1.0
+        while step >= _MIN_STEP:
+            trial = v + step * direction
+            trial[trial * orthant < 0.0] = 0.0  # crossed zero: stop there
+            delta = trial - v
+            slope = float(pg @ delta)
+            if slope < 0.0:
+                change = _hazard_change(blocks, lam, delta)
+                decrease = float(change.sum() + linear @ delta)
+                if math.isfinite(decrease) and decrease <= _ARMIJO * slope:
+                    break
+            step *= 0.5
+        else:
+            return v, taken, True
+        v, lam = trial, lam + change
+        trace.append(trace[-1] + decrease)
+    return v, budget, False
 
 
 def _solve_column_mult(
@@ -268,77 +459,58 @@ def _solve_column_mult(
     cfg: MultiplicativeConfig,
     x0: np.ndarray,
 ) -> tuple[np.ndarray, list[float], bool, int]:
-    """Proximal gradient with backtracking on one column's penalized NLL.
+    """Working-set orthant-wise Newton on one column's penalized NLL.
 
-    With ``accelerate`` the extrapolated step is used, restarting the
-    momentum whenever it would increase the objective, so the recorded
-    trace stays nonincreasing in both modes. A backtracking step that
-    shrinks below ``_MIN_STEP`` stops the column at its last accepted
-    point, unconverged.
+    Each outer pass evaluates the whole column. Its KKT residual over the
+    free entries (|g + penalty * sign(x)| on nonzero ones, |g| - penalty
+    past zero on zero ones) decides convergence: the column is converged at
+    a residual of at most ``tol * max(1, largest co-infection count)``.
+    Otherwise the working set W becomes the support plus the worst
+    violators, at most as many as the support has plus ``_GROWTH``, and
+    Newton steps on W (see :func:`_newton_steps`) run until its own residual
+    meets the bound, or a ``_WAITING`` fraction of the worst violator left
+    out of W while there is one. A W on which the line search stalled, or
+    that took no step, ends the column unconverged when the next pass picks
+    it again; so does reaching ``max_iters`` Newton steps in all.
     """
     N = count_col.size
-
-    def value_and_cache(x: np.ndarray) -> tuple[float, np.ndarray]:
-        exposure, lam = _exposure(column, x)
-        return float(exposure - count_col @ x - const), lam
-
-    def penalized(smooth_value: float, x: np.ndarray) -> float:
-        return smooth_value + penalty * float(np.abs(x[free]).sum())
-
     x = np.zeros(N)
     x[free] = x0[free]
-    if free.size == 0:
-        return x, [value_and_cache(x)[0]], True, 0
-    f, lam = value_and_cache(x)
-    grad = _nll_gradient(column, lam, count_col)
-    objective = penalized(f, x)
-    trace = [objective]
-    base, f_base, grad_base = x, f, grad  # extrapolation point (== x when plain)
-    t_k = 1.0
-    step = 1.0
+    limit = cfg.tol * max(1.0, float(count_col.max()))
+    trace: list[float] = []
     converged = False
     iterations = 0
-
-    def prox_step_from(point, f_point, grad_point, step):
-        while True:
-            cand = np.zeros(N)
-            cand[free] = soft_threshold(point[free] - step * grad_point[free], step * penalty)
-            f_cand, lam_cand = value_and_cache(cand)
-            diff = cand[free] - point[free]
-            model = f_point + float(grad_point[free] @ diff) + float(diff @ diff) / (2.0 * step)
-            if math.isfinite(f_cand) and f_cand <= model + 1e-12 * abs(model):
-                return cand, f_cand, lam_cand, step
-            step *= 0.5
-            if step < _MIN_STEP:
-                return None, f_point, None, step
-
-    for iterations in range(1, cfg.max_iters + 1):
-        step *= 2.0
-        cand, f_cand, lam_cand, step = prox_step_from(base, f_base, grad_base, step)
-        if cand is None:
-            return x, trace, False, iterations - 1
-        if cfg.accelerate and penalized(f_cand, cand) > objective and base is not x:
-            # momentum overshoot: restart from the last accepted point
-            t_k = 1.0
-            cand, f_cand, lam_cand, step = prox_step_from(x, f, grad, step)
-            if cand is None:
-                return x, trace, False, iterations - 1
-        previous_x, previous_obj = x, objective
-        x, f = cand, f_cand
-        grad = _nll_gradient(column, lam_cand, count_col)
-        objective = penalized(f, x)
-        trace.append(objective)
-        if _relative_change(previous_obj, objective) < cfg.tol:
+    stuck = None
+    while True:
+        exposure, lam = _exposure(column, x)
+        grad = _nll_gradient(column, lam, count_col)
+        v, g = x[free], grad[free]
+        objective = float(exposure - count_col @ x - const + penalty * np.abs(v).sum())
+        trace[-1:] = [objective]  # the exact value replaces the summed decreases
+        excess = np.abs(g) - penalty
+        residual = np.where(v != 0.0, np.abs(g + penalty * np.sign(v)), excess)
+        if free.size == 0 or residual.max() <= limit:
             converged = True
             break
-        if cfg.accelerate:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-            base = x + ((t_k - 1.0) / t_next) * (x - previous_x)
-            t_k = t_next
-            f_base, lam_at_base = value_and_cache(base)
-            grad_base = _nll_gradient(column, lam_at_base, count_col)
-        else:
-            base, f_base, grad_base = x, f, grad
+        if iterations == cfg.max_iters:
+            break
+        support = np.nonzero(v)[0]
+        violators = np.nonzero((v == 0.0) & (excess > 0.0))[0]
+        ranked = violators[np.argsort(-excess[violators], kind="stable")]
+        room = support.size + _GROWTH
+        working = free[np.sort(np.concatenate([support, ranked[:room]]))]
+        if stuck is not None and np.array_equal(working, stuck):
+            break
+        # while violators wait outside W, W need not be solved to the bound
+        inner = limit if ranked.size <= room else max(limit, _WAITING * excess[ranked[room]])
+        blocks = _restrict(column, working, N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x[working], taken, stalled = _newton_steps(
+                blocks, x[working], count_col[working], penalty, inner,
+                cfg.max_iters - iterations, trace,
+            )
+        iterations += taken
+        stuck = working if stalled or taken == 0 else None
     return x, trace, converged, iterations
 
 

@@ -19,11 +19,6 @@ import numpy as np
 from .types import ADDITIVE, CascadeSet, InferenceResult, Network, aggregate_traces
 
 
-def soft_threshold(values: np.ndarray, amount: float) -> np.ndarray:
-    """Shrink toward zero by ``amount`` and clamp to exact zero past it."""
-    return np.sign(values) * np.maximum(np.abs(values) - amount, 0.0)
-
-
 class Segments(NamedTuple):
     """Layout of consecutive non-empty segments tiling a flat array."""
 

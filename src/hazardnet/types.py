@@ -167,16 +167,15 @@ def check_window(cascade: Cascade, window: float) -> None:
 class InferenceResult:
     """An inferred network plus solver diagnostics.
 
-    ``objective_trace`` holds the minimized objective per outer iteration
+    ``objective_trace`` holds the minimized objective per Newton step
     (column traces are summed; converged columns hold their final value).
     For L1-regularized solves the trace is the penalized objective, since
     that is the quantity the solver decreases monotonically.
 
-    ``converged`` is True only when every column met its solver's stopping
-    rule: for the additive model a certified KKT residual (see
-    ``AdditiveConfig``), for the multiplicative model a relative objective
-    change below ``tol``. A stalled line search or the iteration cap leaves
-    it False. ``iterations`` is the largest per-column iteration count.
+    ``converged`` is True only when every column's KKT residual met its
+    solver's bound (see ``AdditiveConfig`` and ``MultiplicativeConfig``). A
+    stalled line search or the iteration cap leaves it False.
+    ``iterations`` is the largest per-column count of Newton steps.
     """
 
     network: Network

@@ -327,9 +327,7 @@ class TestCriterion06CascadeCountSweep:
             cs = hn.CascadeSet(128, 4.0, full_mult.cascades[:count])
             fit = hn.infer_multiplicative(
                 cs,
-                hn.MultiplicativeConfig(
-                    baseline=base, l1_penalty=0.0, max_iters=5000, accelerate=True
-                ),
+                hn.MultiplicativeConfig(baseline=base, l1_penalty=0.0, max_iters=5000),
             )
             accuracy = hn.edge_accuracy(true_mult, fit.network, 0.05)
             mult_acc.append(accuracy)
@@ -409,7 +407,7 @@ class TestCriterion09SignRecovery:
         cs = hn.simulate_set(true, base, 5000, 4.0, rng_seed=92)
         fit = hn.infer_multiplicative(
             cs,
-            hn.MultiplicativeConfig(baseline=base, l1_penalty=15.0, max_iters=5000, accelerate=True),
+            hn.MultiplicativeConfig(baseline=base, l1_penalty=15.0, max_iters=5000),
         )
         strong = np.abs(fit.network.params) > 0.1
         assert strong.any()

@@ -146,20 +146,34 @@ class TestInferEvaluate:
         assert res.exit_code == 0
         text = " ".join(res.output.split())
         assert "KKT residual" in text
-        assert "relative change of the objective" in text
+        assert "co-infection count" in text
+        assert "relative change" not in text
 
     def test_zero_tol_is_a_usage_error(self, runner, tmp_path):
         res = run(runner, "infer", "--model", "additive", "--tol", 0,
                   "--cascades", tmp_path / "c.txt", "--out", tmp_path / "o.txt")
         assert res.exit_code == 2
 
+    def test_negative_lambda_is_a_usage_error(self, runner, tmp_path):
+        res = run(runner, "infer", "--model", "multiplicative", "--lambda", -1,
+                  "--cascades", tmp_path / "c.txt", "--out", tmp_path / "o.txt")
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_lambda_fails_through_the_config(self, runner, tmp_path, bad):
+        _, casc = self._pipeline(
+            runner, tmp_path, "multiplicative", extra=("--baseline", "const", "--a0", -1)
+        )
+        res = run(runner, "infer", "--model", "multiplicative", "--baseline", "const",
+                  "--a0", -1, "--lambda", bad, "--cascades", casc, "--out", tmp_path / "o.txt")
+        assert res.exit_code == 1
+        assert "l1_penalty" in res.output
+
     def test_solver_surface(self, runner):
         # one way to run a fit: no worker count, no unused solver knobs
         fields = lambda cls: [f.name for f in dataclasses.fields(cls)]
         assert fields(hn.AdditiveConfig) == ["shaping", "max_iters", "tol"]
-        assert fields(hn.MultiplicativeConfig) == [
-            "baseline", "l1_penalty", "max_iters", "tol", "accelerate"
-        ]
+        assert fields(hn.MultiplicativeConfig) == ["baseline", "l1_penalty", "max_iters", "tol"]
         for infer in (hn.infer_additive, hn.infer_multiplicative):
             assert list(inspect.signature(infer).parameters) == ["cs", "cfg", "init"]
         res = run(runner, "infer", "--help")
