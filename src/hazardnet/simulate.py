@@ -8,10 +8,16 @@ parents have built up: the sums of alpha and alpha * t_j over its parents
 for the exponential kernel; their total alpha and the alpha-weighted mean
 and spread of their times for the rayleigh kernel; the hazard spent up to
 its latest parent, that parent's time and the log-multiplier since then for
-a baseline. When an event commits, every susceptible node the new
-infection touches updates its state and has its tentative time re-inverted
-in closed form, all in one array pass. Only power-kernel targets with
-several parents are solved one by one, by bisection.
+a baseline. Only power-kernel targets with several parents are solved one
+by one, by bisection.
+
+A set is sampled block by block: the cascades of a block advance in
+lockstep, each step committing the next event of every cascade still
+running. The states of all (cascade, node) pairs of the block sit in flat
+arrays, so one step updates every susceptible node any of the new
+infections touches and re-inverts all their tentative times in closed form
+in one array pass. Every entry's state sees its own parents in its own
+order, so each cascade equals the one sampled on its own, bit for bit.
 
 A state changes only when a parent with nonzero influence arrives, so a
 tentative time is a pure function of that node's own parents and the
@@ -21,6 +27,7 @@ sampled cascade does not depend on the refresh schedule.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +43,7 @@ KRONECKER_SEEDS = {
 }
 
 _BISECT_TOL = 1e-10
+_BLOCK_CASCADES = 64  # cascades that simulate_set advances together
 
 
 class ScaleOverflowError(ValueError):
@@ -199,6 +207,10 @@ def _invert_power(
 class _KernelSums:
     """Hazard state of each target under the exponential kernel.
 
+    Like every hazard state below, it holds one entry per target, and
+    ``add_parent`` gives each listed entry a parent with its own rate and
+    infection time.
+
     s0 and s1 are the sums of alpha and alpha * t_j over the target's
     infected parents. From its latest parent on, the cumulative hazard is
     s0*t - s1, and the tentative time is its root at the target.
@@ -208,7 +220,7 @@ class _KernelSums:
         self.targets = targets
         self.s0, self.s1 = np.zeros(targets.size), np.zeros(targets.size)
 
-    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
+    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: np.ndarray) -> None:
         self.s0[idx] += alphas
         self.s1[idx] += alphas * t
 
@@ -232,7 +244,7 @@ class _RayleighMoments:
         self.targets = targets
         self.weight, self.mean, self.spread = (np.zeros(targets.size) for _ in range(3))
 
-    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
+    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: np.ndarray) -> None:
         weight = self.weight[idx] + alphas
         shift = t - self.mean[idx]
         mean = self.mean[idx] + alphas / weight * shift
@@ -260,14 +272,14 @@ class _PowerKernel:
         self.shaping, self.targets, self.window = shaping, targets, window
         self.count = np.zeros(targets.size, dtype=np.int64)
         self.last_time, self.last_alpha = np.zeros(targets.size), np.zeros(targets.size)
-        self.parents: list[list[tuple[float, float]]] = [[] for _ in range(targets.size)]
+        self.parents: dict[int, list[tuple[float, float]]] = {}
 
-    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
+    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: np.ndarray) -> None:
         self.count[idx] += 1
         self.last_time[idx] = t
         self.last_alpha[idx] = alphas
-        for k, alpha in zip(idx.tolist(), alphas.tolist()):
-            self.parents[k].append((t, alpha))
+        for k, alpha, tk in zip(idx.tolist(), alphas.tolist(), t.tolist()):
+            self.parents.setdefault(k, []).append((tk, alpha))
 
     def times(self, idx: np.ndarray) -> np.ndarray:
         count = self.count[idx]
@@ -295,7 +307,7 @@ class _BaselineExposure:
         self.baseline, self.targets = baseline, targets
         self.spent, self.since, self.log_mult = (np.zeros(targets.size) for _ in range(3))
 
-    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: float) -> None:
+    def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: np.ndarray) -> None:
         since = self.since[idx]
         self.spent[idx] += np.exp(self.log_mult[idx]) * self.baseline.integral(since, t)
         self.since[idx] = t
@@ -354,13 +366,86 @@ def infection_time_from_uniform(
             break  # infected before this parent arrives
         alpha = float(net.params[parent, node])
         if alpha != 0.0:
-            state.add_parent(only, np.array([alpha]), t_parent)
+            state.add_parent(only, np.array([alpha]), np.array([t_parent]))
             t = float(state.times(only)[0])
     return t if t <= t_max else math.inf
 
 
 def _draw_targets(u: np.ndarray) -> np.ndarray:
     return -np.log1p(-u)
+
+
+def _check_source(source, num_nodes: int, cascade: int | None = None) -> int:
+    """``source`` as a node id; rejects non-integers and ids outside the universe."""
+    where = "" if cascade is None else f" of cascade {cascade}"
+    try:
+        node = operator.index(source)
+    except TypeError:
+        raise ValueError(f"source {source}{where} is not an integer node id") from None
+    if not 0 <= node < num_nodes:
+        raise ValueError(f"source {node}{where} outside universe of {num_nodes} nodes")
+    return node
+
+
+def _sample_rows(
+    net: Network,
+    model: ShapingFunction | Baseline,
+    sources: np.ndarray,
+    uniforms: np.ndarray,
+    window: float,
+    recompute_all: bool = False,
+) -> list[Cascade]:
+    """One cascade per row of ``uniforms`` (rows x N), started by that row's
+    source at time 0, all advanced in lockstep.
+
+    The hazard state holds entry row * N + node. Each step records the
+    latest event of every live row, adds it as a parent to the susceptible
+    nodes it touches, re-inverts those entries (every susceptible entry on
+    the first step, since a baseline exposes them all, or on every step with
+    ``recompute_all``), and takes each live row's earliest tentative time as
+    its next event. A row stops when that time falls outside the window.
+    """
+    rows, N = uniforms.shape
+    params = net.params
+    state = _running_hazard(model, _draw_targets(uniforms).reshape(-1), window)
+    hist_nodes = np.empty((rows, N), dtype=np.int64)
+    hist_times = np.empty((rows, N))
+    sizes = np.empty(rows, dtype=np.int64)
+    susceptible = np.ones((rows, N), dtype=bool)
+    tentative = np.full((rows, N), math.inf)
+    flat_tentative = tentative.reshape(-1)
+    live, node, t = np.arange(rows), np.asarray(sources, dtype=np.int64), np.zeros(rows)
+    offsets = live * N  # flat index of each live row's first entry
+    step = 0
+    while live.size:
+        hist_nodes[live, step], hist_times[live, step] = node, t
+        step += 1
+        susceptible[live, node] = False
+        tentative[live, node] = math.inf
+        open_rows = susceptible[live]
+        edges = params[node]
+        r, c = (open_rows & (edges != 0.0)).nonzero()
+        changed = offsets[r] + c
+        if changed.size:
+            state.add_parent(changed, edges[r, c], t[r])
+        if recompute_all or step == 1:
+            r, c = open_rows.nonzero()
+            refresh = offsets[r] + c
+        else:
+            refresh = changed
+        if refresh.size:
+            flat_tentative[refresh] = state.times(refresh)
+        ahead = tentative[live]
+        node, t_next = ahead.argmin(axis=1), ahead.min(axis=1)
+        tie = t_next <= t  # ulp-level ties keep each row's order strict
+        if tie.any():
+            t_next[tie] = np.nextafter(t[tie], math.inf)
+        going = t_next <= window
+        if not going.all():
+            sizes[live[~going]] = step
+            live, offsets, node, t_next = live[going], offsets[going], node[going], t_next[going]
+        t = t_next
+    return [Cascade(hist_nodes[k, : sizes[k]], hist_times[k, : sizes[k]]) for k in range(rows)]
 
 
 def simulate_cascade(
@@ -380,8 +465,7 @@ def simulate_cascade(
     instead of only those whose hazard changed — slower, same cascade.
     """
     N = net.num_nodes
-    if not (0 <= source < N):
-        raise ValueError(f"source {source} outside universe of {N} nodes")
+    source = _check_source(source, N)
     if not window > 0.0:
         raise ValueError("window must be positive")
     _check_pairing(net, model)
@@ -391,37 +475,7 @@ def simulate_cascade(
         uniforms = np.asarray(uniforms, dtype=np.float64)
         if uniforms.shape != (N,) or np.any(uniforms < 0.0) or np.any(uniforms >= 1.0):
             raise ValueError("uniforms must be N values in [0, 1)")
-    state = _running_hazard(model, _draw_targets(uniforms), window)
-
-    hist_nodes = np.empty(N, dtype=np.int64)
-    hist_times = np.empty(N, dtype=np.float64)
-    count = 0
-    susceptible = np.ones(N, dtype=bool)
-    tentative = np.full(N, math.inf)
-    node, t = source, 0.0
-    while True:
-        hist_nodes[count], hist_times[count] = node, t
-        count += 1
-        susceptible[node] = False
-        tentative[node] = math.inf
-        row = net.params[node]
-        changed = (susceptible & (row != 0.0)).nonzero()[0]
-        if changed.size:
-            state.add_parent(changed, row[changed], t)
-        # the source's pass covers every node, since a baseline exposes them all
-        refresh = susceptible.nonzero()[0] if recompute_all or count == 1 else changed
-        if refresh.size:
-            tentative[refresh] = state.times(refresh)
-        node = int(tentative.argmin())
-        t = float(tentative[node])
-        if not (t <= window):
-            break
-        if t <= hist_times[count - 1]:  # ulp-level ties keep the order strict
-            t = float(np.nextafter(hist_times[count - 1], math.inf))
-            if t > window:
-                break
-
-    return Cascade(hist_nodes[:count].copy(), hist_times[:count].copy())
+    return _sample_rows(net, model, np.array([source]), uniforms[None, :], window, recompute_all)[0]
 
 
 def simulate_set(
@@ -434,19 +488,32 @@ def simulate_set(
 ) -> CascadeSet:
     """Sample independent cascades; deterministic in ``rng_seed``.
 
-    Sources are drawn uniformly at random unless given. Each cascade uses a
-    seed spawned from ``rng_seed`` by index.
+    Sources are drawn uniformly at random unless given; each must be an
+    integer node id. Each cascade uses a seed spawned from ``rng_seed`` by
+    index, which draws its source (when not given) and then its uniforms.
+    The cascades advance in lockstep, a block of them at a time, one event
+    per running cascade per step; each comes out bit for bit the cascade
+    :func:`simulate_cascade` samples from the same source and uniforms.
     """
     if num_cascades < 0:
         raise ValueError("num_cascades must be nonnegative")
-    if sources is not None and len(sources) != num_cascades:
-        raise ValueError("need exactly one source per cascade")
+    if not (window > 0.0 and math.isfinite(window)):
+        raise ValueError("window must be a positive finite length")
+    _check_pairing(net, model)
     N = net.num_nodes
+    if sources is not None:
+        if len(sources) != num_cascades:
+            raise ValueError("need exactly one source per cascade")
+        sources = [_check_source(s, N, k) for k, s in enumerate(sources)]
     children = np.random.SeedSequence(rng_seed).spawn(num_cascades)
-
-    def build(k: int) -> Cascade:
-        rng = np.random.default_rng(children[k])
-        source = int(sources[k]) if sources is not None else int(rng.integers(N))
-        return simulate_cascade(net, model, source, window, uniforms=rng.random(N))
-
-    return CascadeSet(N, window, tuple(build(k) for k in range(num_cascades)))
+    cascades: list[Cascade] = []
+    for first in range(0, num_cascades, _BLOCK_CASCADES):
+        block = range(first, min(first + _BLOCK_CASCADES, num_cascades))
+        starts = np.empty(len(block), dtype=np.int64)
+        uniforms = np.empty((len(block), N))
+        for row, k in enumerate(block):
+            rng = np.random.default_rng(children[k])
+            starts[row] = sources[k] if sources is not None else rng.integers(N)
+            uniforms[row] = rng.random(N)
+        cascades += _sample_rows(net, model, starts, uniforms, window)
+    return CascadeSet(N, window, tuple(cascades))

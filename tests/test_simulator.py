@@ -7,6 +7,13 @@ import pytest
 from scipy.stats import kstest
 
 import hazardnet as hn
+from hazardnet.simulate import (
+    _BLOCK_CASCADES,
+    _PowerKernel,
+    _draw_targets,
+    _running_hazard,
+    _sample_rows,
+)
 
 EXP = hn.ShapingFunction(hn.EXPONENTIAL)
 CONST = hn.Baseline(hn.CONSTANT, 0.0)
@@ -141,6 +148,49 @@ def reference_cascade(net, model, source, window, uniforms):
         tentative[nxt] = math.inf
         refresh(np.nonzero(susceptible & (net.params[nxt] != 0.0))[0])
     return np.array(nodes), np.array(times)
+
+
+def per_event_cascade(net, model, source, window, uniforms):
+    """One cascade, one loop iteration per infection, on the sampler's own
+    hazard states: the reference for the lockstep set sampler."""
+    N = net.num_nodes
+    state = _running_hazard(model, _draw_targets(uniforms), window)
+    hist_nodes = np.empty(N, dtype=np.int64)
+    hist_times = np.empty(N, dtype=np.float64)
+    count = 0
+    susceptible = np.ones(N, dtype=bool)
+    tentative = np.full(N, math.inf)
+    node, t = source, 0.0
+    while True:
+        hist_nodes[count], hist_times[count] = node, t
+        count += 1
+        susceptible[node] = False
+        tentative[node] = math.inf
+        row = net.params[node]
+        changed = (susceptible & (row != 0.0)).nonzero()[0]
+        if changed.size:
+            state.add_parent(changed, row[changed], np.full(changed.size, t))
+        refresh = susceptible.nonzero()[0] if count == 1 else changed
+        if refresh.size:
+            tentative[refresh] = state.times(refresh)
+        node = int(tentative.argmin())
+        t = float(tentative[node])
+        if not (t <= window):
+            break
+        if t <= hist_times[count - 1]:
+            t = float(np.nextafter(hist_times[count - 1], math.inf))
+            if t > window:
+                break
+    return hist_nodes[:count], hist_times[:count]
+
+
+def spawned_draws(num_nodes, num_cascades, rng_seed):
+    """The (source, uniforms) pairs simulate_set draws for each cascade."""
+    draws = []
+    for child in np.random.SeedSequence(rng_seed).spawn(num_cascades):
+        rng = np.random.default_rng(child)
+        draws.append((int(rng.integers(num_nodes)), rng.random(num_nodes)))
+    return draws
 
 
 def kind_of(model):
@@ -360,6 +410,99 @@ class TestBatchedRefresh:
             assert got == pytest.approx(want, rel=0.0, abs=tol) or got == want == math.inf
 
 
+class TestLockstep:
+    """The lockstep set sampler against one per-event loop per cascade, fed
+    the same spawned sources and uniforms: equal bit for bit."""
+
+    @staticmethod
+    def _assert_matches_oracle(net, model, num_cascades, window, rng_seed):
+        cs = hn.simulate_set(net, model, num_cascades, window, rng_seed=rng_seed)
+        draws = spawned_draws(net.num_nodes, num_cascades, rng_seed)
+        assert len(cs) == num_cascades
+        for cascade, (source, uniforms) in zip(cs, draws):
+            nodes, times = per_event_cascade(net, model, source, window, uniforms)
+            assert np.array_equal(cascade.nodes, nodes)
+            assert np.array_equal(cascade.times, times)
+
+    @pytest.mark.parametrize(
+        "num_cascades",
+        [0, 1, _BLOCK_CASCADES - 1, _BLOCK_CASCADES, _BLOCK_CASCADES + 1, 3 * _BLOCK_CASCADES + 7],
+    )
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_set_matches_per_event_cascades(self, family, num_cascades):
+        model = FAMILIES[family]
+        net = generated_network(kind_of(model))
+        self._assert_matches_oracle(net, model, num_cascades, 4.0, rng_seed=num_cascades + 3)
+
+    def test_1024_node_network_matches_per_event_cascades(self):
+        spec = hn.KroneckerSpec(
+            hn.KRONECKER_SEEDS["core-periphery"], scale=10, target_avg_degree=4.0, rng_seed=123
+        )
+        net = hn.assign_parameters(
+            1024, hn.generate_kronecker(spec), hn.ParamDistribution(hn.ADDITIVE, 0.01, 1.0),
+            rng_seed=124,
+        )
+        self._assert_matches_oracle(net, EXP, 2 * _BLOCK_CASCADES + 2, 4.0, rng_seed=125)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_tie_branch_in_some_rows_only(self, family):
+        # nodes 1 and 2 have identical parent rows and no edge between them:
+        # on rows that give them the same uniform their times tie exactly, and
+        # the second moves to the next float after the first
+        model = FAMILIES[family]
+        rng = np.random.default_rng(17)
+        n = 7
+        params = np.zeros((n, n))
+        params[:, 1] = rng.uniform(0.3, 0.9, n)
+        params[:, 2] = params[:, 1]
+        params[3:, 3:] = rng.uniform(0.1, 0.9, (n - 3, n - 3))
+        params[0, 3:] = 0.5
+        params[[1, 2], 3:] = 0.4
+        params[[1, 2, 1, 2], [1, 2, 2, 1]] = 0.0
+        np.fill_diagonal(params, 0.0)
+        net = hn.Network(params, kind_of(model))
+        uniforms = rng.uniform(0.05, 0.6, (2 * _BLOCK_CASCADES + 3, n))
+        uniforms[::2, 2] = uniforms[::2, 1]
+        sources = np.zeros(len(uniforms), dtype=np.int64)
+        tied = []
+        for start in range(0, len(uniforms), _BLOCK_CASCADES):
+            block = slice(start, start + _BLOCK_CASCADES)
+            got = _sample_rows(net, model, sources[block], uniforms[block], 4.0)
+            for cascade, u in zip(got, uniforms[block]):
+                nodes, times = per_event_cascade(net, model, 0, 4.0, u)
+                assert np.array_equal(cascade.nodes, nodes)
+                assert np.array_equal(cascade.times, times)
+                tied.append(bool(np.any(times[1:] == np.nextafter(times[:-1], math.inf))))
+        assert any(tied[::2])
+        assert not any(tied[1::2])
+
+    def test_power_kernel_takes_each_entrys_own_parent_time(self):
+        # two rows of one block whose targets get the same parents at
+        # different times invert to the times of two separate one-row states
+        shaping = FAMILIES[hn.POWER]
+        targets = np.array([0.4, 1.3, 2.2])
+        parents = [  # (entries, rates, time in row 0, time in row 1)
+            (np.array([0, 1, 2]), np.array([0.8, 0.5, 0.3]), 0.0, 0.6),
+            (np.array([1, 2]), np.array([0.9, 0.7]), 0.4, 1.5),
+            (np.array([2]), np.array([0.6]), 0.9, 1.6),
+        ]
+        block = _PowerKernel(shaping, np.tile(targets, 2), 50.0)
+        rows = [_PowerKernel(shaping, targets, 50.0) for _ in range(2)]
+        for idx, alphas, t0, t1 in parents:
+            block.add_parent(
+                np.concatenate([idx, idx + 3]),
+                np.tile(alphas, 2),
+                np.concatenate([np.full(idx.size, t0), np.full(idx.size, t1)]),
+            )
+            rows[0].add_parent(idx, alphas, np.full(idx.size, t0))
+            rows[1].add_parent(idx, alphas, np.full(idx.size, t1))
+        alone = np.concatenate([state.times(np.arange(3)) for state in rows])
+        together = block.times(np.arange(6))
+        assert np.array_equal(together, alone)
+        assert not np.array_equal(together[:3], together[3:])
+        assert np.all(np.isfinite(together))
+
+
 class TestSimulateCascade:
     def test_exponential_delay_has_unit_mean(self):
         net = hn.Network([[0.0, 1.0], [0.0, 0.0]], hn.ADDITIVE)
@@ -432,6 +575,45 @@ class TestSimulateCascade:
         net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
         with pytest.raises(ValueError, match="source"):
             hn.simulate_cascade(net, EXP, 3, 1.0)
+
+    def test_set_rejects_model_kind_mismatch_before_sampling(self):
+        net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
+        with pytest.raises(ValueError, match="multiplicative"):
+            hn.simulate_set(net, CONST, 0, 1.0)
+        mnet = hn.Network(np.zeros((3, 3)), hn.MULTIPLICATIVE)
+        with pytest.raises(ValueError, match="additive"):
+            hn.simulate_set(mnet, EXP, 0, 1.0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_set_rejects_bad_window(self, window):
+        net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
+        with pytest.raises(ValueError, match="window"):
+            hn.simulate_set(net, EXP, 2, window)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (1.7, r"source 1\.7 of cascade 2 is not an integer"),
+            (np.float64(1.0), r"source 1\.0 of cascade 2 is not an integer"),
+            ("1", "source 1 of cascade 2 is not an integer"),
+            (3, "source 3 of cascade 2 outside universe of 3 nodes"),
+            (-1, "source -1 of cascade 2 outside universe of 3 nodes"),
+        ],
+    )
+    def test_set_rejects_bad_source(self, bad, message):
+        net = hn.Network(np.full((3, 3), 0.5) - 0.5 * np.eye(3), hn.ADDITIVE)
+        with pytest.raises(ValueError, match=message):
+            hn.simulate_set(net, EXP, 4, 1.0, sources=[0, np.int64(2), bad, 1])
+
+    def test_cascade_rejects_fractional_source(self):
+        net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
+        with pytest.raises(ValueError, match="source 1.7 is not an integer"):
+            hn.simulate_cascade(net, EXP, 1.7, 1.0)
+
+    def test_integer_sources_of_any_type_are_kept(self):
+        net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
+        cs = hn.simulate_set(net, EXP, 3, 1.0, sources=np.array([2, 0, 1], dtype=np.int32))
+        assert [c.source for c in cs] == [2, 0, 1]
 
     def test_thousand_cascades_on_1024_nodes_completes(self):
         spec = hn.KroneckerSpec(
