@@ -92,9 +92,10 @@ def write_cascades(path: str, cs: CascadeSet, metadata: Mapping[str, object] | N
     lines = [f"{CASCADE_MAGIC} {FORMAT_VERSION} {cs.num_nodes} {_fmt(cs.window)}"]
     lines += _metadata_lines(metadata)
     for cascade in cs:
-        lines.append(
-            ",".join(f"{n}:{_fmt(t)}" for n, t in zip(cascade.nodes, cascade.times))
-        )
+        # Python ints and floats format faster than numpy scalars, and
+        # "%.17g" renders a float exactly as _fmt does
+        events = zip(cascade.nodes.tolist(), cascade.times.tolist())
+        lines.append(",".join(["%d:%.17g" % event for event in events]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

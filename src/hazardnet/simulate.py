@@ -8,16 +8,19 @@ parents have built up: the sums of alpha and alpha * t_j over its parents
 for the exponential kernel; their total alpha and the alpha-weighted mean
 and spread of their times for the rayleigh kernel; the hazard spent up to
 its latest parent, that parent's time and the log-multiplier since then for
-a baseline. Only power-kernel targets with several parents are solved one
-by one, by bisection.
+a baseline. A power-kernel target keeps its parents' times and rates, and
+the targets with several parents are solved together: their crossing
+segments in one array pass, and those with several live parents by a
+bisection that evaluates the hazard at every midpoint of every such
+target in one array pass.
 
 A set is sampled block by block: the cascades of a block advance in
 lockstep, each step committing the next event of every cascade still
 running. The states of all (cascade, node) pairs of the block sit in flat
 arrays, so one step updates every susceptible node any of the new
-infections touches and re-inverts all their tentative times in closed form
-in one array pass. Every entry's state sees its own parents in its own
-order, so each cascade equals the one sampled on its own, bit for bit.
+infections touches and re-inverts all their tentative times in one array
+pass. Every entry's state sees its own parents in its own order, so each
+cascade equals the one sampled on its own, bit for bit.
 
 A state changes only when a parent with nonzero influence arrives, so a
 tentative time is a pure function of that node's own parents and the
@@ -153,57 +156,6 @@ def assign_parameters(
     return Network(params, dist.kind)
 
 
-def _bisect(fn, lo: float, hi: float, target: float) -> float:
-    """Locate fn crossing ``target`` on [lo, hi]; fn nondecreasing."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_TOL * max(1.0, abs(hi)):
-            return mid
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _invert_power(
-    shaping: ShapingFunction,
-    parent_times: np.ndarray,
-    alphas: np.ndarray,
-    target: float,
-    t_max: float,
-) -> float:
-    """Earliest t <= t_max at which the power-kernel hazard of several
-    parents (every alpha > 0) reaches ``target``; inf when it does not.
-
-    Each parent switches on ``delta`` after its infection. The crossing is
-    located on the grid of switch-on points, then solved in closed form if
-    one parent is live there and by bisection otherwise.
-    """
-    starts = parent_times + shaping.delta
-    points = np.unique(starts[starts < t_max])
-    if points.size == 0:
-        return math.inf
-    grid = np.concatenate([points, [t_max]])
-    cumhaz = alphas @ np.asarray(shaping.cumulative(parent_times[:, None], grid[None, :]))
-    if cumhaz[-1] < target:
-        return math.inf
-    seg = int(np.searchsorted(cumhaz, target, side="left"))
-    if seg == 0:
-        return float(grid[0])
-    a, b = float(grid[seg - 1]), float(grid[seg])
-    residual = target - float(cumhaz[seg - 1])
-    if residual <= 0.0:
-        return a
-    active = starts <= a
-    act_times, act_alphas = parent_times[active], alphas[active]
-    if act_times.size > 1:
-        lam = lambda t: float(act_alphas @ np.asarray(shaping.cumulative(act_times, t)))
-        return _bisect(lam, a, b, float(cumhaz[seg - 1]) + residual)
-    tp = float(act_times[0])
-    return tp + (a - tp) * math.exp(residual / float(act_alphas[0]))
-
-
 class _KernelSums:
     """Hazard state of each target under the exponential kernel.
 
@@ -260,37 +212,205 @@ class _RayleighMoments:
         return self.mean[idx] + np.sqrt(np.maximum(square, 0.0))
 
 
+def _parent_sum(rates: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 (a row's parents) of rate * value, in list order.
+
+    The last column of a cumulative sum adds the terms one at a time, so a
+    row's sum does not depend on how many zero-rate columns pad it.
+    """
+    return np.cumsum(rates[:, :, None] * values, axis=1)[:, -1]
+
+
+def _walk(lo: float, hi: float, known: list[bool], guess: float):
+    """The bisection steps of one row on [lo, hi], on Python floats.
+
+    Step k keeps the upper half when ``known[k]`` says the hazard at its
+    midpoint is below the goal, and where no side is known yet, when the
+    midpoint is below ``guess``. Returns the result with the midpoints and
+    sides it took.
+    """
+    mids: list[float] = []
+    sides: list[bool] = []
+    for step in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= _BISECT_TOL * max(1.0, abs(hi)):
+            return mid, mids, sides
+        below = known[step] if step < len(known) else mid < guess
+        mids.append(mid)
+        sides.append(below)
+        if below:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), mids, sides
+
+
+def _bisect_rows(hazard, lo: np.ndarray, hi: np.ndarray, goal: np.ndarray, guess: list[float]):
+    """Bisect every row's [lo, hi] for the crossing of its hazard with its
+    goal; each row ends with the midpoints and result of the scalar rule.
+
+    The rule halves [lo, hi], keeping the upper half while the hazard at the
+    midpoint is below the goal, until hi - lo <= 1e-10 * max(1, |hi|) or for
+    200 steps, and returns the last midpoint. ``hazard(rows, t)`` evaluates
+    the listed rows at a (rows x steps) block of times.
+
+    Each round walks every open row on Python floats, taking the side of
+    its ``guess`` wherever no side is known, then evaluates the hazard at
+    all their midpoints in one array pass. A row whose guessed sides all
+    hold is done. Otherwise its first wrong step gets its true side, and
+    the row walks again in the next round toward that step's midpoint.
+    """
+    out = [0.0] * lo.size
+    known: list[list[bool]] = [[] for _ in range(lo.size)]
+    guess = list(guess)
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    todo = list(range(lo.size))
+    while todo:
+        walks = [_walk(*bounds[r], known[r], guess[r]) for r in todo]
+        for r, (result, _, _) in zip(todo, walks):
+            out[r] = result
+        walks = [(r, mids, sides) for r, (_, mids, sides) in zip(todo, walks) if mids]
+        if not walks:
+            break
+        # pad each row to the longest walk by repeating its last step,
+        # whose side holds exactly when the last step's does
+        steps = max(len(mids) for _, mids, _ in walks)
+        todo = [r for r, _, _ in walks]
+        mids = np.array([mids + mids[-1:] * (steps - len(mids)) for _, mids, _ in walks])
+        sides = np.array([sides + sides[-1:] * (steps - len(sides)) for _, _, sides in walks])
+        wrong = (hazard(todo, mids) < goal[todo, None]) != sides
+        todo = []
+        for i in np.flatnonzero(wrong.any(axis=1)).tolist():
+            r, row_mids, row_sides = walks[i]
+            step = int(wrong[i].argmax())
+            known[r] = row_sides[:step] + [not row_sides[step]]
+            guess[r] = row_mids[step]
+            todo.append(r)
+    return np.array(out)
+
+
+def _newton_guesses(tp, rates, delta, lo, hi, goal, start_hazard) -> list[float]:
+    """Each row's crossing of sum_j rate_j * log((t - t_j) / delta) with its
+    goal on [lo, hi], by Newton's method on Python floats.
+
+    The hazard is concave there, so Newton's method climbs to the root from
+    the bound t_last + (lo - t_last) * exp(residual / total rate), which the
+    latest parent t_last places at or left of it. The result only steers
+    :func:`_bisect_rows`, which confirms every side it takes.
+    """
+    out = []
+    for times, weights, a, b, g, h in zip(tp.tolist(), rates.tolist(), lo.tolist(),
+                                           hi.tolist(), goal.tolist(), start_hazard.tolist()):
+        live = [(tj, wj) for tj, wj in zip(times, weights) if wj > 0.0]
+        last = max(tj for tj, _ in live)
+        t = last + (a - last) * math.exp(min((g - h) / sum(wj for _, wj in live), 700.0))
+        for _ in range(50):
+            t = min(max(t, a), b)
+            value = slope = 0.0
+            for tj, wj in live:
+                age = max(t - tj, delta)
+                value += wj * math.log(age / delta)
+                slope += wj / age
+            step = (g - value) / slope
+            t += step
+            if abs(step) <= 1e-15 * t:
+                break
+        out.append(min(max(t, a), b))
+    return out
+
+
 class _PowerKernel:
     """Hazard state of each target under the power kernel.
 
-    A target with one parent, infected at t_p with rate alpha, has the
-    closed-form time t_p + delta * exp(target / alpha). Targets with several
-    parents keep their (t_j, alpha) lists for :func:`_invert_power`.
+    Each target keeps its parents' infection times and rates, in arrival
+    order, in its row of two (targets x width) arrays. Past its parents a
+    row holds time inf and rate 0, and the width grows so that every row
+    keeps at least one such empty slot. A target with one parent, infected
+    at t_p with rate alpha, has the closed-form time
+    t_p + delta * exp(target / alpha). The targets with several parents are
+    inverted together by :meth:`_invert`.
     """
 
     def __init__(self, shaping: ShapingFunction, targets: np.ndarray, window: float) -> None:
         self.shaping, self.targets, self.window = shaping, targets, window
         self.count = np.zeros(targets.size, dtype=np.int64)
-        self.last_time, self.last_alpha = np.zeros(targets.size), np.zeros(targets.size)
-        self.parents: dict[int, list[tuple[float, float]]] = {}
+        self.parent_time = np.full((targets.size, 3), math.inf)
+        self.parent_rate = np.zeros((targets.size, 3))
 
     def add_parent(self, idx: np.ndarray, alphas: np.ndarray, t: np.ndarray) -> None:
-        self.count[idx] += 1
-        self.last_time[idx] = t
-        self.last_alpha[idx] = alphas
-        for k, alpha, tk in zip(idx.tolist(), alphas.tolist(), t.tolist()):
-            self.parents.setdefault(k, []).append((tk, alpha))
+        slot = self.count[idx]
+        width = self.parent_time.shape[1]
+        if slot.size and slot.max() + 1 >= width:
+            more = np.full((self.targets.size, width), math.inf)
+            self.parent_time = np.concatenate([self.parent_time, more], axis=1)
+            self.parent_rate = np.concatenate([self.parent_rate, np.zeros_like(more)], axis=1)
+        self.parent_time[idx, slot] = t
+        self.parent_rate[idx, slot] = alphas
+        self.count[idx] = slot + 1
 
     def times(self, idx: np.ndarray) -> np.ndarray:
         count = self.count[idx]
-        out = np.full(idx.size, math.inf)
-        lone = idx[count == 1]
-        with np.errstate(over="ignore"):
-            growth = np.exp(self.targets[lone] / self.last_alpha[lone])
-        out[count == 1] = self.last_time[lone] + self.shaping.delta * growth
-        for j in np.flatnonzero(count > 1).tolist():
-            times, alphas = np.array(self.parents[idx[j]]).T
-            out[j] = _invert_power(self.shaping, times, alphas, self.targets[idx[j]], self.window)
+        out = np.empty(idx.size)
+        out.fill(math.inf)
+        lone = count == 1
+        first = idx[lone]
+        if first.size:
+            with np.errstate(over="ignore"):
+                growth = np.exp(self.targets[first] / self.parent_rate[first, 0])
+            out[lone] = self.parent_time[first, 0] + self.shaping.delta * growth
+        many = (count > 1).nonzero()[0]
+        if many.size:
+            out[many] = self._invert(idx[many], int(count.max()))
+        return out
+
+    def _invert(self, entries: np.ndarray, width: int) -> np.ndarray:
+        """Earliest t <= window at which the hazard of each entry's parents
+        (two or more, every rate > 0) reaches its target; inf when it does not.
+
+        Each parent switches on delta after its infection. An entry's
+        crossing is located on the grid of its switch-on points and the
+        window, then solved in closed form if one parent is live there and
+        by :func:`_bisect_rows` otherwise, for all such entries together.
+        """
+        shaping, window = self.shaping, self.window
+        tp = self.parent_time[entries, : width + 1]
+        rates = self.parent_rate[entries, : width + 1]
+        starts = tp + shaping.delta
+        # the sorted switch-on points inside the window, then the window
+        # itself, which the empty last slot supplies to every row
+        grid = np.minimum(np.sort(starts, axis=1), window)
+        cumhaz = _parent_sum(rates, shaping.cumulative(tp[:, :, None], grid[:, None, :]))
+        target = self.targets[entries]
+        # the crossing lies on [grid[seg - 1], grid[seg]]; seg = 0 puts it at
+        # the first switch-on point and seg = width + 1 past the window
+        seg = (cumhaz < target[:, None]).sum(axis=1)
+        first = grid[:, 0]
+        out = np.where((seg == 0) & (first < window), first, math.inf)
+        rows = ((seg > 0) & (seg <= width)).nonzero()[0]
+        if not rows.size:
+            return out
+        seg = seg[rows]
+        a, b, before = grid[rows, seg - 1], grid[rows, seg], cumhaz[rows, seg - 1]
+        residual = target[rows] - before
+        tp, rates = tp[rows], rates[rows]
+        active = starts[rows] <= a[:, None]
+        live = active.sum(axis=1)
+        lone = (live == 1).nonzero()[0]
+        if lone.size:
+            j = active[lone].argmax(axis=1)
+            tp_one = tp[lone, j]
+            out[rows[lone]] = tp_one + (a[lone] - tp_one) * np.exp(residual[lone] / rates[lone, j])
+        several = (live > 1).nonzero()[0]
+        if several.size:
+            tp, a, b, before = tp[several], a[several], b[several], before[several]
+            rates = np.where(active[several], rates[several], 0.0)
+            goal = before + residual[several]
+            guess = _newton_guesses(tp, rates, shaping.delta, a, b, goal, before)
+
+            def hazard(sel, t):
+                return _parent_sum(rates[sel], shaping.cumulative(tp[sel][:, :, None], t[:, None, :]))
+
+            out[rows[several]] = _bisect_rows(hazard, a, b, goal, guess)
         return out
 
 
@@ -330,6 +450,11 @@ def _running_hazard(model: ShapingFunction | Baseline, targets: np.ndarray, wind
     return _KernelSums(targets)
 
 
+def _check_window(window: float) -> None:
+    if not (window > 0.0 and math.isfinite(window)):
+        raise ValueError("window must be a positive finite length")
+
+
 def _check_pairing(net: Network, model: ShapingFunction | Baseline) -> None:
     if isinstance(model, ShapingFunction):
         if net.kind != ADDITIVE:
@@ -357,6 +482,7 @@ def infection_time_from_uniform(
         raise ValueError("u must lie in [0, 1)")
     if np.any(history.nodes == node):
         raise ValueError("node is already part of the history")
+    _check_window(t_max)
     _check_pairing(net, model)
     state = _running_hazard(model, np.array([-math.log1p(-u)]), t_max)
     only = np.zeros(1, dtype=np.int64)
@@ -445,7 +571,11 @@ def _sample_rows(
             sizes[live[~going]] = step
             live, offsets, node, t_next = live[going], offsets[going], node[going], t_next[going]
         t = t_next
-    return [Cascade(hist_nodes[k, : sizes[k]], hist_times[k, : sizes[k]]) for k in range(rows)]
+    # each cascade owns a copy of its row, so it keeps none of the block alive
+    return [
+        Cascade._trusted(hist_nodes[k, :n].copy(), hist_times[k, :n].copy())
+        for k, n in enumerate(sizes.tolist())
+    ]
 
 
 def simulate_cascade(
@@ -466,8 +596,7 @@ def simulate_cascade(
     """
     N = net.num_nodes
     source = _check_source(source, N)
-    if not window > 0.0:
-        raise ValueError("window must be positive")
+    _check_window(window)
     _check_pairing(net, model)
     if uniforms is None:
         uniforms = np.random.default_rng(rng_seed).random(N)
@@ -497,8 +626,7 @@ def simulate_set(
     """
     if num_cascades < 0:
         raise ValueError("num_cascades must be nonnegative")
-    if not (window > 0.0 and math.isfinite(window)):
-        raise ValueError("window must be a positive finite length")
+    _check_window(window)
     _check_pairing(net, model)
     N = net.num_nodes
     if sources is not None:

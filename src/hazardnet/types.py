@@ -31,6 +31,11 @@ class Cascade:
     order is strict.
     """
 
+    # slots without a per-instance dict; declared here rather than with
+    # dataclass(slots=True), whose rebuilt class makes Python 3.11's frozen
+    # __setattr__ raise TypeError instead of FrozenInstanceError
+    __slots__ = ("nodes", "times")
+
     nodes: np.ndarray
     times: np.ndarray
 
@@ -55,6 +60,24 @@ class Cascade:
             raise ValueError("a node can be infected at most once per cascade")
         object.__setattr__(self, "nodes", _freeze(nodes))
         object.__setattr__(self, "times", _freeze(times))
+
+    @classmethod
+    def _trusted(cls, nodes: np.ndarray, times: np.ndarray) -> "Cascade":
+        """A cascade of events the caller has already made valid, without the
+        constructor's checks and copies: a 1-d int64 ``nodes`` and a float64
+        ``times`` of the same length, sorted, strictly increasing and finite
+        from a source at time 0, with no node twice. The cascade takes both
+        arrays as they are and freezes them.
+        """
+        cascade = object.__new__(cls)
+        object.__setattr__(cascade, "nodes", _freeze(nodes))
+        object.__setattr__(cascade, "times", _freeze(times))
+        return cascade
+
+    def __reduce__(self):
+        # rebuild through the constructor, so copies and unpickled cascades
+        # are validated and frozen like any other
+        return (Cascade, (self.nodes, self.times))
 
     @classmethod
     def from_events(cls, events: Iterable[tuple[int, float]]) -> "Cascade":

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hazardnet as hn
-from hazardnet.fileio import write_csv
+from hazardnet.fileio import _fmt, write_csv
 
 EXP = hn.ShapingFunction(hn.EXPONENTIAL)
 
@@ -87,6 +87,33 @@ class TestCascadeFormat:
         for a, b in zip(back, cs):
             np.testing.assert_array_equal(a.nodes, b.nodes)
             np.testing.assert_array_equal(a.times, b.times)
+
+    def test_events_render_as_seventeen_digit_numpy_scalars(self, tmp_path):
+        # the writer formats Python numbers; its bytes must equal the
+        # per-event rendering of the arrays' own numpy scalars
+        rng = np.random.default_rng(3)
+        window = 1e300
+        cascades = []
+        for k in range(40):
+            size = int(rng.integers(1, 12))
+            gaps = rng.choice(
+                [5e-324, 1e-310, 1e-20, 0.1, 1.0, 3.0, 7.25, 1e17, 1e290], size - 1
+            ) * rng.choice([1.0, rng.uniform(0.5, 2.0)], size - 1)
+            times = np.concatenate([[0.0], np.cumsum(gaps)])
+            times = np.maximum.accumulate(times)
+            keep = np.concatenate([[True], np.diff(times) > 0.0])
+            nodes = rng.permutation(50)[: size][keep]
+            cascades.append(hn.Cascade(nodes, times[keep]))
+        cs = hn.CascadeSet(50, window, tuple(cascades))
+        path = tmp_path / "c.txt"
+        hn.write_cascades(str(path), cs)
+        expected = [f"netinf-cascades v1 50 {_fmt(window)}"] + [
+            ",".join(f"{n}:{_fmt(t)}" for n, t in zip(c.nodes, c.times)) for c in cs
+        ]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert any(0.0 < t < 1e-300 for c in cs for t in c.times)  # subnormal times
+        assert any(t > 1e200 for c in cs for t in c.times)
+        assert any(t == int(t) and t > 0.0 for c in cs for t in c.times)
 
     def test_empty_body_is_a_valid_empty_set(self, tmp_path):
         path = tmp_path / "empty.txt"

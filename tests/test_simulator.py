@@ -10,18 +10,21 @@ import hazardnet as hn
 from hazardnet.simulate import (
     _BLOCK_CASCADES,
     _PowerKernel,
+    _bisect_rows,
     _draw_targets,
     _running_hazard,
     _sample_rows,
 )
 
 EXP = hn.ShapingFunction(hn.EXPONENTIAL)
+POWER = hn.ShapingFunction(hn.POWER, delta=0.5)
 CONST = hn.Baseline(hn.CONSTANT, 0.0)
+BAD_WINDOWS = [0.0, -1.0, math.nan, math.inf]
 
 # One model per kernel and baseline family, for the reference comparisons.
 FAMILIES = {
     hn.EXPONENTIAL: EXP,
-    hn.POWER: hn.ShapingFunction(hn.POWER, delta=0.5),
+    hn.POWER: POWER,
     hn.RAYLEIGH: hn.ShapingFunction(hn.RAYLEIGH),
     hn.CONSTANT: hn.Baseline(hn.CONSTANT, log_scale=-2.0),
     hn.LINEAR: hn.Baseline(hn.LINEAR, log_scale=-2.0),
@@ -434,6 +437,22 @@ class TestLockstep:
         net = generated_network(kind_of(model))
         self._assert_matches_oracle(net, model, num_cascades, 4.0, rng_seed=num_cascades + 3)
 
+    @pytest.mark.parametrize("family", [hn.EXPONENTIAL, hn.POWER, hn.CONSTANT])
+    def test_sampled_cascades_are_valid_compact_and_frozen(self, family):
+        # the sampler builds its cascades without the constructor's checks
+        model = FAMILIES[family]
+        net = generated_network(kind_of(model))
+        cs = hn.simulate_set(net, model, _BLOCK_CASCADES + 5, 4.0, rng_seed=4)
+        events = sum(c.size for c in cs)
+        for c in cs:
+            again = hn.Cascade(c.nodes, c.times)
+            assert np.array_equal(again.nodes, c.nodes)
+            assert np.array_equal(again.times, c.times)
+            for arr, dtype in ((c.nodes, np.int64), (c.times, np.float64)):
+                assert arr.dtype == dtype
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+                assert arr.base is None or arr.base.size <= events
+
     def test_1024_node_network_matches_per_event_cascades(self):
         spec = hn.KroneckerSpec(
             hn.KRONECKER_SEEDS["core-periphery"], scale=10, target_avg_degree=4.0, rng_seed=123
@@ -477,30 +496,124 @@ class TestLockstep:
         assert not any(tied[1::2])
 
     def test_power_kernel_takes_each_entrys_own_parent_time(self):
-        # two rows of one block whose targets get the same parents at
-        # different times invert to the times of two separate one-row states
+        # rows of one block whose targets get parents at different times, and
+        # whose longest parent lists differ, invert to the times of separate
+        # one-row states, though the block pads every row to the longest list
         shaping = FAMILIES[hn.POWER]
-        targets = np.array([0.4, 1.3, 2.2])
-        parents = [  # (entries, rates, time in row 0, time in row 1)
-            (np.array([0, 1, 2]), np.array([0.8, 0.5, 0.3]), 0.0, 0.6),
-            (np.array([1, 2]), np.array([0.9, 0.7]), 0.4, 1.5),
-            (np.array([2]), np.array([0.6]), 0.9, 1.6),
+        targets = np.array([0.4, 1.3, 2.2, 2.9])
+        parents = [  # (entries, rates, time in each row; None skips the row)
+            (np.array([0, 1, 2, 3]), np.array([0.8, 0.5, 0.3, 0.7]), (0.0, 0.6, 0.1, 0.0)),
+            (np.array([1, 2, 3]), np.array([0.9, 0.7, 0.2]), (0.4, 1.5, None, 0.2)),
+            (np.array([2, 3]), np.array([0.6, 0.4]), (0.9, 1.6, None, 0.3)),
+            (np.array([3]), np.array([0.5]), (None, 1.9, None, 0.45)),
+            (np.array([3]), np.array([0.8]), (None, None, None, 0.5)),
+            (np.array([2, 3]), np.array([0.3, 0.6]), (None, None, None, 0.8)),
         ]
-        block = _PowerKernel(shaping, np.tile(targets, 2), 50.0)
-        rows = [_PowerKernel(shaping, targets, 50.0) for _ in range(2)]
-        for idx, alphas, t0, t1 in parents:
+        n, rows = targets.size, 4
+        block = _PowerKernel(shaping, np.tile(targets, rows), 50.0)
+        alone = [_PowerKernel(shaping, targets, 50.0) for _ in range(rows)]
+        for idx, alphas, when in parents:
+            live = [r for r in range(rows) if when[r] is not None]
             block.add_parent(
-                np.concatenate([idx, idx + 3]),
-                np.tile(alphas, 2),
-                np.concatenate([np.full(idx.size, t0), np.full(idx.size, t1)]),
+                np.concatenate([idx + r * n for r in live]),
+                np.tile(alphas, len(live)),
+                np.concatenate([np.full(idx.size, when[r]) for r in live]),
             )
-            rows[0].add_parent(idx, alphas, np.full(idx.size, t0))
-            rows[1].add_parent(idx, alphas, np.full(idx.size, t1))
-        alone = np.concatenate([state.times(np.arange(3)) for state in rows])
-        together = block.times(np.arange(6))
-        assert np.array_equal(together, alone)
-        assert not np.array_equal(together[:3], together[3:])
+            for r in live:
+                alone[r].add_parent(idx, alphas, np.full(idx.size, when[r]))
+        counts = block.count.reshape(rows, n)
+        assert sorted(int(c.max()) for c in counts) == [1, 3, 4, 6]
+        single = np.concatenate([state.times(np.arange(n)) for state in alone])
+        together = block.times(np.arange(rows * n))
+        assert np.array_equal(together, single)
+        assert np.array_equal(block.times(np.arange(rows * n)[::-1]), single[::-1])
+        assert len({tuple(row) for row in together.reshape(rows, n).tolist()}) == rows
         assert np.all(np.isfinite(together))
+
+
+class TestPowerInversion:
+    """The power-kernel state inverts all its multi-parent entries in one
+    batch; each entry must match the per-target oracle and its own inversion
+    alone, whatever else shares the batch."""
+
+    WINDOW = 5.0
+
+    @staticmethod
+    def _entries():
+        """(target, [(parent time, rate), ...]) per entry, in arrival order."""
+        entries = [
+            (0.7, [(4.6, 0.9), (4.8, 0.5)]),  # no parent switches on inside the window
+            (40.0, [(0.0, 0.2), (0.3, 0.1)]),  # the hazard stays below the target
+            (0.0, [(0.2, 0.8), (0.9, 0.4)]),  # crossing at the first switch-on point
+            (0.05, [(0.0, 0.9), (3.0, 0.6)]),  # one live parent in the crossing segment
+            (1.1, [(1.0, 0.7), (1.0, 0.3), (2.5, 0.4)]),  # two switch on at one instant
+            (0.6, [(0.0, 0.5)]),
+            (0.6, []),
+        ]
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            k = int(rng.integers(2, 7))
+            times = np.sort(rng.uniform(0.0, 4.0, k)).tolist()
+            rates = rng.uniform(0.1, 1.0, k).tolist()
+            entries.append((float(rng.exponential(1.5)), list(zip(times, rates))))
+        return entries
+
+    def _state(self, entries):
+        state = _PowerKernel(POWER, np.array([target for target, _ in entries]), self.WINDOW)
+        for step in range(max(len(parents) for _, parents in entries)):
+            idx = np.array([k for k, (_, p) in enumerate(entries) if len(p) > step])
+            state.add_parent(
+                idx,
+                np.array([entries[k][1][step][1] for k in idx]),
+                np.array([entries[k][1][step][0] for k in idx]),
+            )
+        return state
+
+    def test_mixed_batch_matches_reference(self):
+        entries = self._entries()
+        got = self._state(entries).times(np.arange(len(entries)))
+        for k, (target, parents) in enumerate(entries):
+            if len(parents) < 2:
+                continue
+            times, rates = (np.array(v) for v in zip(*parents))
+            want = reference_invert_additive(POWER, times, rates, target, self.WINDOW)
+            if math.isinf(want):
+                assert got[k] == math.inf, k
+            else:
+                assert abs(got[k] - want) <= 2e-10 * max(1.0, abs(want)), k
+        assert got[0] == got[1] == math.inf
+        assert got[2] == 0.7
+        assert got[3] == pytest.approx(0.5 * math.exp(0.05 / 0.9), rel=1e-15)
+        assert 1.5 < got[4] < 3.0
+        assert got[5] == 0.5 * math.exp(0.6 / 0.5)
+        assert got[6] == math.inf
+        assert np.isfinite(got).sum() > 40
+
+    def test_each_entry_inverts_as_it_would_alone(self):
+        entries = self._entries()
+        together = self._state(entries).times(np.arange(len(entries)))
+        alone = [self._state([entry]).times(np.zeros(1, dtype=np.int64))[0] for entry in entries]
+        assert np.array_equal(together, alone)
+
+    def test_bisect_rows_takes_the_scalar_midpoints_from_any_guess(self):
+        # a hazard that is not monotone, so a guessed side is often wrong
+        rng = np.random.default_rng(8)
+        lo = np.append(rng.uniform(-3.0, 2.0, 20), [-1e300, 1.0])
+        hi = np.append(lo[:20] + rng.uniform(1e-3, 40.0, 20), [1.0, 1.0 + 1e-11])
+        centre = rng.uniform(lo, hi)
+        goal = rng.uniform(0.0, 4.0, lo.size)
+        # the last two rows: 200 halvings leave [-1e300, 1] far wider than
+        # the stop, so the cap ends it; [1, 1 + 1e-11] stops before a step
+
+        def hazard(rows, t):
+            return np.abs(t - centre[rows, None])
+
+        want = [
+            reference_bisect(lambda t, k=k: abs(t - centre[k]), lo[k], hi[k], goal[k])
+            for k in range(lo.size)
+        ]
+        for guess in (lo, hi, centre, rng.uniform(lo, hi)):
+            assert np.array_equal(_bisect_rows(hazard, lo, hi, goal, guess.tolist()), want)
 
 
 class TestSimulateCascade:
@@ -584,11 +697,27 @@ class TestSimulateCascade:
         with pytest.raises(ValueError, match="additive"):
             hn.simulate_set(mnet, EXP, 0, 1.0)
 
-    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
-    def test_set_rejects_bad_window(self, window):
-        net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
-        with pytest.raises(ValueError, match="window"):
-            hn.simulate_set(net, EXP, 2, window)
+    @pytest.mark.parametrize(
+        "entry,window",
+        [pytest.param("simulate_set", w, id=str(w)) for w in BAD_WINDOWS]
+        + [
+            pytest.param(entry, w, id=f"{entry}-{w}")
+            for entry in ("simulate_cascade", "infection_time_from_uniform")
+            for w in BAD_WINDOWS
+        ],
+    )
+    def test_set_rejects_bad_window(self, entry, window):
+        net = hn.Network(np.full((3, 3), 0.5) - 0.5 * np.eye(3), hn.ADDITIVE)
+        history = hn.Cascade.from_events([(0, 0.0), (1, 0.5)])
+        calls = {
+            "simulate_set": lambda: hn.simulate_set(net, POWER, 2, window),
+            "simulate_cascade": lambda: hn.simulate_cascade(net, POWER, 0, window),
+            "infection_time_from_uniform": lambda: hn.infection_time_from_uniform(
+                net, POWER, history, 2, 0.9, window
+            ),
+        }
+        with pytest.raises(ValueError, match="window must be a positive finite length"):
+            calls[entry]()
 
     @pytest.mark.parametrize(
         "bad,message",

@@ -1,5 +1,9 @@
 """Validation contracts of the domain types."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,21 @@ class TestCascade:
         c = hn.Cascade.from_events([(0, 0.0), (1, 1.0)])
         with pytest.raises(ValueError):
             c.times[0] = 3.0
+
+    def test_has_no_instance_dict(self):
+        c = hn.Cascade.from_events([(0, 0.0), (1, 1.0)])
+        assert not hasattr(c, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.extra = 1
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))])
+    def test_copies_keep_equal_frozen_arrays(self, clone):
+        c = hn.Cascade.from_events([(4, 0.0), (2, 0.5), (7, 1.25)])
+        back = clone(c)
+        assert back.events() == c.events()
+        for arr in (back.nodes, back.times):
+            assert not arr.flags.writeable
+        assert back.nodes.dtype == np.int64 and back.times.dtype == np.float64
 
     def test_source_and_duration(self):
         c = hn.Cascade.from_events([(3, 0.0), (1, 2.5)])
