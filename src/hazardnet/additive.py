@@ -5,11 +5,12 @@ infection, an exposure term per (parent, infected) pair, and a survival term
 per (infected, uninfected) pair. The negative log-likelihood is convex in
 the rate matrix and separates over target-node columns, so the solver runs
 one projected-Newton subproblem per column and stops it on the column's KKT
-residual. Each column's data (exposure coefficients, parents and kernel
-values of each explained infection) is gathered from the packed cascade set
-of :mod:`hazardnet.optim`; the solver lays it out as a dense explained
-infection x parent kernel matrix, the set gradient reads the same columns,
-and the shared column runner there solves them one after another.
+residual. Each column is its exposure coefficients plus the dense explained
+infection x parent kernel matrix G, built in one pass from the packed
+cascade set of :mod:`hazardnet.optim`: (G @ x)[k] is the total hazard at
+explained infection k. The solver, the set gradient and the KKT residual
+all read that one layout, and the shared column runner in
+:mod:`hazardnet.optim` solves the columns one after another.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optim import PackedCascades, Segments, segment_sums, solve_columns
+from .optim import PackedCascades, solve_columns
 from .shaping import ShapingFunction
 from .types import (
     ADDITIVE,
@@ -92,8 +93,7 @@ def additive_cascade_loglik(
     ll -= float((among_infected * shaping.cumulative(parent_times, event_times)).sum())
     uninfected_mass = from_infected.sum(axis=1) - among_infected.sum(axis=1)
     if np.any(uninfected_mass != 0.0):
-        survival = np.asarray(shaping.cumulative(times, window))
-        ll -= float(survival @ uninfected_mass)
+        ll -= float(shaping.cumulative(times, window) @ uninfected_mass)
     return ll
 
 
@@ -120,8 +120,8 @@ def independent_cascade_loglik(
     for r in range(1, nodes.size):
         parents, pt, ti = nodes[:r], times[:r], times[r]
         alphas = A[parents, nodes[r]]
-        pair_hazards = alphas * np.asarray(shaping.hazard(pt, ti))
-        pair_survivals = np.exp(-alphas * np.asarray(shaping.cumulative(pt, ti)))
+        pair_hazards = alphas * shaping.hazard(pt, ti)
+        pair_survivals = np.exp(-alphas * shaping.cumulative(pt, ti))
         density = float(pair_hazards.sum()) * float(np.prod(pair_survivals))
         if density <= 0.0:
             return -math.inf
@@ -129,7 +129,7 @@ def independent_cascade_loglik(
     all_nodes = np.arange(net.num_nodes)
     uninfected = np.setdiff1d(all_nodes, nodes, assume_unique=True)
     if uninfected.size:
-        survival = np.asarray(shaping.cumulative(times, window))
+        survival = shaping.cumulative(times, window)
         for n in uninfected:
             prob = float(np.prod(np.exp(-A[nodes, n] * survival)))
             if prob <= 0.0:
@@ -143,93 +143,73 @@ def additive_gradient(net: Network, shaping: ShapingFunction, cs: CascadeSet) ->
 
     Entry (j, i) accumulates gamma/IR - G over cascades where both are
     infected with j first (IR the total hazard at i's infection), and -G(T)
-    where j is infected and i is not. Each column is the negated column-NLL
-    gradient the solver uses, gathered from the packed cascade set.
-    Diagonal entries stay zero.
+    where j is infected and i is not. Column i is (1 / (K @ x)) @ K - exposure
+    for the column's kernel matrix K, the negated column-NLL gradient the
+    solver uses. Diagonal entries stay zero.
     """
     check_kind(net, ADDITIVE)
     packed = PackedCascades(cs)
     grad = np.zeros((net.num_nodes, net.num_nodes))
     for i in range(net.num_nodes):
-        column = _column(packed, shaping, i)
-        rates = _rates(column, net.params[:, i])
+        exposure, G = _column(packed, shaping, i)
+        rates = G @ net.params[:, i]
         if np.any(rates <= 0.0):
             raise ValueError(
                 "zero hazard at an observed infection: the log-likelihood "
                 "is -inf here and has no gradient"
             )
-        grad[:, i] = -_nll_gradient(column, rates)
+        grad[:, i] = (1.0 / rates) @ G - exposure
     return grad
 
 
 def additive_kkt_violation(net: Network, shaping: ShapingFunction, cs: CascadeSet) -> float:
     """Largest first-order optimality violation of the nonnegative MLE.
 
-    For the negative log-likelihood g: |g| on strictly positive entries,
-    max(0, -g) on entries at the zero boundary. Diagonal excluded.
+    For the negative log-likelihood gradient g: |g| on strictly positive
+    entries, max(0, -g) on entries at the zero boundary. The diagonal's
+    gradient is zero, so it adds none.
     """
-    nll_grad = -additive_gradient(net, shaping, cs)
-    off = ~np.eye(net.num_nodes, dtype=bool)
-    positive = off & (net.params > 0.0)
-    boundary = off & (net.params == 0.0)
-    worst = 0.0
-    if positive.any():
-        worst = max(worst, float(np.abs(nll_grad[positive]).max()))
-    if boundary.any():
-        worst = max(worst, float(np.maximum(-nll_grad[boundary], 0.0).max()))
-    return worst
+    return float(_residual(net.params, -additive_gradient(net, shaping, cs)).max())
+
+
+def _residual(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Per-entry KKT residual at ``x`` given the NLL gradient ``grad``; the
+    rule :func:`additive_kkt_violation` states, shared with the solver."""
+    return np.where(x > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
 
 
 class _Column(NamedTuple):
-    """One target column's likelihood data: the linear NLL coefficients
-    plus one ragged gamma row per explained infection."""
+    """One target column's likelihood data: the linear NLL coefficients and
+    the M x N kernel matrix, whose row k holds the kernel values of explained
+    infection k's parents, so (kernels @ x)[k] is its total hazard."""
 
     exposure: np.ndarray
-    parents: np.ndarray
-    gamma: np.ndarray
-    segments: Segments
+    kernels: np.ndarray
 
 
 def _column(packed: PackedCascades, shaping: ShapingFunction, target: int) -> _Column:
-    """Gather the target column's data from the packed cascade set.
+    """Build the target column from the packed cascade set.
 
     Every event before the target's infection (or all events, where it
     stays uninfected) adds its kernel integral up to that infection (or the
-    window) to the exposure; the ones before an infection are its parents.
+    window) to the exposure; the ones before an infection are its parents,
+    and fill that infection's row of the kernel matrix.
     """
     events, segments, hit = packed.prefix(target)
     infected = hit >= 0
     ends = np.where(infected, packed.times[hit], packed.window)[segments.ids]
     nodes, times = packed.nodes[events], packed.times[events]
-    exposure = np.bincount(
-        nodes, weights=shaping.cumulative(times, ends), minlength=packed.num_nodes
-    )
+    N = packed.num_nodes
+    exposure = np.bincount(nodes, weights=shaping.cumulative(times, ends), minlength=N)
     explained = infected[segments.ids]
-    gamma = np.asarray(shaping.hazard(times[explained], ends[explained]))
-    return _Column(
-        exposure, nodes[explained], gamma, Segments.of_lengths(segments.lengths[infected])
+    rows = (np.cumsum(infected) - 1)[segments.ids[explained]]
+    M = int(np.count_nonzero(infected))
+    kernels = np.bincount(
+        rows * N + nodes[explained],
+        weights=shaping.hazard(times[explained], ends[explained]),
+        minlength=M * N,
     )
-
-
-def _rates(column: _Column, x: np.ndarray) -> np.ndarray:
-    """Total hazard at each explained infection."""
-    return segment_sums(x[column.parents] * column.gamma, column.segments)
-
-
-def _nll_gradient(column: _Column, rates: np.ndarray) -> np.ndarray:
-    """Gradient of the column NLL, given the hazards :func:`_rates` returns."""
-    weights = column.gamma / rates[column.segments.ids]
-    return column.exposure - np.bincount(
-        column.parents, weights=weights, minlength=column.exposure.size
-    )
-
-
-def _dense(column: _Column) -> np.ndarray:
-    """The column's M x N kernel matrix G: row k holds the kernel values of
-    infection k's parents, so (G @ x)[k] is its total hazard."""
-    M, N = column.segments.lengths.size, column.exposure.size
-    flat = column.segments.ids * N + column.parents
-    return np.bincount(flat, weights=column.gamma, minlength=M * N).reshape(M, N)
+    return _Column(exposure, kernels.reshape(M, N))
 
 
 def _solve_column(
@@ -249,9 +229,8 @@ def _solve_column(
     is at most tol * max(1, max(exposure)); a stalled line search or the
     iteration cap leaves it unconverged.
     """
-    exposure = column.exposure
+    exposure, G = column
     x = np.zeros(exposure.size)
-    G = _dense(column)
     evidence = G.any(axis=0)
     if not evidence.any():
         return x, [0.0], True, 0
@@ -269,7 +248,7 @@ def _solve_column(
     while True:
         inverse = 1.0 / rates
         grad = coef - inverse @ G
-        worst = float(np.where(v > 0.0, np.abs(grad), np.maximum(-grad, 0.0)).max())
+        worst = float(_residual(v, grad).max())
         if worst <= limit:
             converged = True
             break
@@ -333,7 +312,7 @@ def infer_additive(
 
     def solve(i: int, x0: np.ndarray):
         column = _column(packed, cfg.shaping, i)
-        if np.any(segment_sums(column.gamma, column.segments) <= 0.0):
+        if not column.kernels.any(axis=1).all():
             raise ValueError(
                 f"node {i} has an infection that no parameter can explain "
                 "(all parent kernels vanish at its infection time)"

@@ -50,8 +50,7 @@ def additive_hazard(
     parents, times = _parents_before(cascade, node, t)
     if parents.size == 0:
         return 0.0
-    gamma = np.asarray(shaping.hazard(times, t), dtype=np.float64)
-    return float(net.params[parents, node] @ gamma)
+    return float(net.params[parents, node] @ shaping.hazard(times, t))
 
 
 def additive_cumulative_hazard(
@@ -63,8 +62,7 @@ def additive_cumulative_hazard(
     parents, times = _parents_before(cascade, node, t)
     if parents.size == 0:
         return 0.0
-    big_gamma = np.asarray(shaping.cumulative(times, t), dtype=np.float64)
-    return float(net.params[parents, node] @ big_gamma)
+    return float(net.params[parents, node] @ shaping.cumulative(times, t))
 
 
 def additive_cdf(
@@ -111,15 +109,10 @@ def multiplicative_cumulative_hazard(
     if t <= 0.0:
         return 0.0
     _require_susceptible(cascade, node, t)
+    # the source, infected at 0 < t, is always a parent and opens the first piece
     parents, times = _parents_before(cascade, node, t)
-    if parents.size == 0:
-        return float(baseline.integral(0.0, t))
     log_mult = np.cumsum(net.params[parents, node])
-    if times[0] > 0.0:  # normally the source sits at 0 and opens the first piece
-        times = np.concatenate([[0.0], times])
-        log_mult = np.concatenate([[0.0], log_mult])
-    rights = np.concatenate([times[1:], [t]])
-    widths = np.asarray(baseline.integral(times, rights), dtype=np.float64)
+    widths = baseline.integral(times, np.append(times[1:], t))
     return float(np.exp(log_mult) @ widths)
 
 

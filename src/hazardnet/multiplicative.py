@@ -123,16 +123,6 @@ def _masked_params(net: Network, mask: SupportMask) -> np.ndarray:
     return np.where(mask.matrix, net.params, 0.0)
 
 
-def _interval_weights(cascade: Cascade, baseline: Baseline, window: float) -> np.ndarray:
-    """Baseline integral of each inter-event interval, last one ending at T.
-
-    A target infected at event position r accumulates the first r weights;
-    an uninfected target accumulates all of them.
-    """
-    rights = np.concatenate([cascade.times[1:], [window]])
-    return np.asarray(baseline.integral(cascade.times, rights), dtype=np.float64)
-
-
 def multiplicative_cascade_loglik(
     net: Network, baseline: Baseline, mask: SupportMask, cascade: Cascade, window: float
 ) -> float:
@@ -156,7 +146,7 @@ def multiplicative_cascade_loglik(
     check_window(cascade, window)
     A = _masked_params(net, mask)
     nodes, times = cascade.nodes, cascade.times
-    weights = _interval_weights(cascade, baseline, window)
+    weights = baseline.integral(times, np.append(times[1:], window))
     prefix = np.cumsum(A[nodes], axis=0)
     # a node's cells past its own infection are never read and may overflow
     with np.errstate(over="ignore"):
@@ -214,18 +204,23 @@ def multiplicative_kkt_violation(
     cs: CascadeSet,
     l1_penalty: float,
 ) -> float:
-    """Largest violation of the L1-subdifferential optimality conditions."""
+    """Largest violation of the L1-subdifferential optimality conditions.
+
+    For the negative log-likelihood gradient g, over the entries inside the
+    mask: |g + l1_penalty * sign(x)| on nonzero entries, max(0, |g| -
+    l1_penalty) on zero ones.
+    """
     nll_grad = -multiplicative_gradient(net, baseline, mask, cs)
-    worst = 0.0
-    active = mask.matrix & (net.params != 0.0)
-    zero = mask.matrix & (net.params == 0.0)
-    if active.any():
-        resid = nll_grad[active] + l1_penalty * np.sign(net.params[active])
-        worst = max(worst, float(np.abs(resid).max()))
-    if zero.any():
-        resid = np.maximum(np.abs(nll_grad[zero]) - l1_penalty, 0.0)
-        worst = max(worst, float(resid.max()))
-    return worst
+    residual = _residual(net.params, nll_grad, l1_penalty)
+    return float(residual[mask.matrix].max(initial=0.0))
+
+
+def _residual(x: np.ndarray, grad: np.ndarray, penalty: float) -> np.ndarray:
+    """Per-entry KKT residual at ``x`` given the NLL gradient ``grad``; the
+    rule :func:`multiplicative_kkt_violation` states, shared with the solver."""
+    return np.where(
+        x != 0.0, np.abs(grad + penalty * np.sign(x)), np.maximum(np.abs(grad) - penalty, 0.0)
+    )
 
 
 def extract_signed_edges(net: Network, threshold: float) -> list[SignedEdge]:
@@ -462,16 +457,16 @@ def _solve_column_mult(
     """Working-set orthant-wise Newton on one column's penalized NLL.
 
     Each outer pass evaluates the whole column. Its KKT residual over the
-    free entries (|g + penalty * sign(x)| on nonzero ones, |g| - penalty
-    past zero on zero ones) decides convergence: the column is converged at
-    a residual of at most ``tol * max(1, largest co-infection count)``.
-    Otherwise the working set W becomes the support plus the worst
-    violators, at most as many as the support has plus ``_GROWTH``, and
-    Newton steps on W (see :func:`_newton_steps`) run until its own residual
-    meets the bound, or a ``_WAITING`` fraction of the worst violator left
-    out of W while there is one. A W on which the line search stalled, or
-    that took no step, ends the column unconverged when the next pass picks
-    it again; so does reaching ``max_iters`` Newton steps in all.
+    free entries (:func:`_residual`) decides convergence: the column is
+    converged at a residual of at most ``tol * max(1, largest co-infection
+    count)``. Otherwise the working set W becomes the support plus the zero
+    entries of largest positive residual (the violators), at most as many
+    as the support has plus ``_GROWTH``, and Newton steps on W (see
+    :func:`_newton_steps`) run until its own residual meets the bound, or a
+    ``_WAITING`` fraction of the worst violator left out of W while there is
+    one. A W on which the line search stalled, or that took no step, ends
+    the column unconverged when the next pass picks it again; so does
+    reaching ``max_iters`` Newton steps in all.
     """
     N = count_col.size
     x = np.zeros(N)
@@ -487,22 +482,21 @@ def _solve_column_mult(
         v, g = x[free], grad[free]
         objective = float(exposure - count_col @ x - const + penalty * np.abs(v).sum())
         trace[-1:] = [objective]  # the exact value replaces the summed decreases
-        excess = np.abs(g) - penalty
-        residual = np.where(v != 0.0, np.abs(g + penalty * np.sign(v)), excess)
+        residual = _residual(v, g, penalty)
         if free.size == 0 or residual.max() <= limit:
             converged = True
             break
         if iterations == cfg.max_iters:
             break
         support = np.nonzero(v)[0]
-        violators = np.nonzero((v == 0.0) & (excess > 0.0))[0]
-        ranked = violators[np.argsort(-excess[violators], kind="stable")]
+        violators = np.nonzero((v == 0.0) & (residual > 0.0))[0]
+        ranked = violators[np.argsort(-residual[violators], kind="stable")]
         room = support.size + _GROWTH
         working = free[np.sort(np.concatenate([support, ranked[:room]]))]
         if stuck is not None and np.array_equal(working, stuck):
             break
         # while violators wait outside W, W need not be solved to the bound
-        inner = limit if ranked.size <= room else max(limit, _WAITING * excess[ranked[room]])
+        inner = limit if ranked.size <= room else max(limit, _WAITING * residual[ranked[room]])
         blocks = _restrict(column, working, N)
         with np.errstate(over="ignore", invalid="ignore"):
             x[working], taken, stalled = _newton_steps(
@@ -531,7 +525,7 @@ def infer_multiplicative(
     penalty = cfg.l1_penalty if cfg.l1_penalty is not None else 0.01 * len(cs) / cs.num_nodes
     weights = packed.interval_weights(cfg.baseline)
     infections = packed.rank > 0
-    rates = np.asarray(cfg.baseline.log_rate(packed.times[infections]))
+    rates = cfg.baseline.log_rate(packed.times[infections])
     if not np.all(np.isfinite(rates)):
         raise ValueError(
             "an infection time lies outside the baseline's support "

@@ -1,13 +1,15 @@
-"""The packed cascade set, segmented reductions and the column runner shared
-by the two solvers.
+"""The packed cascade set, segmented scans and the column runner shared by
+the two solvers.
 
 Both likelihoods separate over target-node columns, and every column reads
 the events each cascade shows before the target's infection (all of them
 where the target stays uninfected). The cascade set is packed once into flat
-arrays, and each column gathers its ragged per-cascade segments from them in
-cascade order, so every sum runs in the order of a per-cascade loop. The
-runner solves the columns one after another, each built and dropped in
-turn: memory stays O(events + C * N).
+arrays, and each column gathers those events from them in cascade order:
+the additive column scatters them into its kernel matrix, the
+multiplicative one keeps them as ragged per-cascade segments that the
+scans below run over in the order of a per-cascade loop. The runner solves
+the columns one after another, each built and dropped in turn: memory stays
+O(events + C * N).
 """
 
 from __future__ import annotations
@@ -31,13 +33,6 @@ class Segments(NamedTuple):
         lengths = np.asarray(lengths, dtype=np.int64)
         offsets = np.cumsum(lengths) - lengths
         return cls(offsets, lengths, np.repeat(np.arange(lengths.size), lengths))
-
-
-def segment_sums(values: np.ndarray, segments: Segments) -> np.ndarray:
-    """Sum of each segment."""
-    if values.size == 0:
-        return np.zeros(0)
-    return np.add.reduceat(values, segments.offsets)
 
 
 def segment_cumsum(values: np.ndarray, segments: Segments) -> np.ndarray:
@@ -82,7 +77,7 @@ class PackedCascades:
         accumulates its cascade's first r weights, an uninfected one all."""
         rights = np.append(self.times[1:], self.window)
         rights[self.cascades.offsets + self.cascades.lengths - 1] = self.window
-        return np.asarray(baseline.integral(self.times, rights), dtype=np.float64)
+        return baseline.integral(self.times, rights)
 
     def coinfection_counts(self) -> np.ndarray:
         """(j, i): number of cascades that infect both j and i, j first."""

@@ -28,11 +28,6 @@ BASELINE_VARIANTS = (CONSTANT, LINEAR, INVERSE)
 _MAX_LOG_SCALE = math.log(sys.float_info.max)  # largest a0 with a finite exp(a0)
 
 
-def _match_input(result: np.ndarray) -> np.ndarray | float:
-    """A float when every input was scalar (so the result is 0-d), else the array."""
-    return float(result) if result.ndim == 0 else result
-
-
 @dataclass(frozen=True)
 class ShapingFunction:
     """One of the three kernel families driving additive hazards.
@@ -52,7 +47,7 @@ class ShapingFunction:
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError("delta must be a positive finite delay")
 
-    def hazard(self, t_parent, t) -> np.ndarray | float:
+    def hazard(self, t_parent, t) -> np.ndarray:
         """Kernel value at time ``t`` for a parent infected at ``t_parent``.
 
         Zero whenever t <= t_parent (and, for the power kernel, whenever the
@@ -61,24 +56,20 @@ class ShapingFunction:
         tp = np.asarray(t_parent, dtype=np.float64)
         age = np.asarray(t, dtype=np.float64) - tp
         if self.variant == EXPONENTIAL:
-            out = np.where(age > 0.0, 1.0, 0.0)
-        elif self.variant == RAYLEIGH:
-            out = np.maximum(age, 0.0)
-        else:
-            out = np.where(age >= self.delta, 1.0 / np.maximum(age, self.delta), 0.0)
-        return _match_input(out)
+            return np.where(age > 0.0, 1.0, 0.0)
+        if self.variant == RAYLEIGH:
+            return np.maximum(age, 0.0)
+        return np.where(age >= self.delta, 1.0 / np.maximum(age, self.delta), 0.0)
 
-    def cumulative(self, t_parent, t) -> np.ndarray | float:
+    def cumulative(self, t_parent, t) -> np.ndarray:
         """Integral of :meth:`hazard` from ``t_parent`` up to ``t``."""
         tp = np.asarray(t_parent, dtype=np.float64)
         age = np.asarray(t, dtype=np.float64) - tp
         if self.variant == EXPONENTIAL:
-            out = np.maximum(age, 0.0)
-        elif self.variant == RAYLEIGH:
-            out = 0.5 * np.maximum(age, 0.0) ** 2
-        else:
-            out = np.log(np.maximum(age / self.delta, 1.0))
-        return _match_input(out)
+            return np.maximum(age, 0.0)
+        if self.variant == RAYLEIGH:
+            return 0.5 * np.maximum(age, 0.0) ** 2
+        return np.log(np.maximum(age / self.delta, 1.0))
 
 
 @dataclass(frozen=True)
@@ -109,47 +100,41 @@ class Baseline:
     def scale(self) -> float:
         return math.exp(self.log_scale)
 
-    def rate(self, t) -> np.ndarray | float:
+    def rate(self, t) -> np.ndarray:
         """Baseline hazard value at time ``t`` (0 where the clamp applies)."""
         tt = np.asarray(t, dtype=np.float64)
         if self.variant == CONSTANT:
-            out = np.full_like(tt, self.scale)
-        elif self.variant == LINEAR:
-            out = self.scale * np.maximum(tt, 0.0)
-        else:
-            out = np.where(tt >= self.epsilon, self.scale / np.maximum(tt, self.epsilon), 0.0)
-        return _match_input(out)
+            return np.full_like(tt, self.scale)
+        if self.variant == LINEAR:
+            return self.scale * np.maximum(tt, 0.0)
+        return np.where(tt >= self.epsilon, self.scale / np.maximum(tt, self.epsilon), 0.0)
 
-    def log_rate(self, t) -> np.ndarray | float:
+    def log_rate(self, t) -> np.ndarray:
         """log of :meth:`rate`; -inf where the rate is zero."""
         tt = np.asarray(t, dtype=np.float64)
         with np.errstate(divide="ignore"):
             if self.variant == CONSTANT:
-                out = np.full_like(tt, self.log_scale)
-            elif self.variant == LINEAR:
-                out = np.where(tt > 0.0, self.log_scale + np.log(np.maximum(tt, 1e-300)), -np.inf)
-            else:
-                out = np.where(
-                    tt >= self.epsilon,
-                    self.log_scale - np.log(np.maximum(tt, self.epsilon)),
-                    -np.inf,
-                )
-        return _match_input(out)
+                return np.full_like(tt, self.log_scale)
+            if self.variant == LINEAR:
+                return np.where(tt > 0.0, self.log_scale + np.log(np.maximum(tt, 1e-300)), -np.inf)
+            return np.where(
+                tt >= self.epsilon,
+                self.log_scale - np.log(np.maximum(tt, self.epsilon)),
+                -np.inf,
+            )
 
-    def integral(self, a, b) -> np.ndarray | float:
+    def integral(self, a, b) -> np.ndarray:
         """Closed-form integral of the rate over [a, b]; 0 when b <= a."""
         lo = np.asarray(a, dtype=np.float64)
         hi = np.maximum(np.asarray(b, dtype=np.float64), lo)
         if self.variant == CONSTANT:
-            out = self.scale * (hi - lo)
-        elif self.variant == LINEAR:
-            out = 0.5 * self.scale * (hi**2 - lo**2)
-        else:
-            eps = self.epsilon
-            out = self.scale * np.log(np.maximum(hi, eps) / np.maximum(lo, eps))
-        return _match_input(out)
+            return self.scale * (hi - lo)
+        if self.variant == LINEAR:
+            return 0.5 * self.scale * (hi**2 - lo**2)
+        eps = self.epsilon
+        return self.scale * np.log(np.maximum(hi, eps) / np.maximum(lo, eps))
 
-    def invert_integral(self, a, target) -> np.ndarray | float:
+    def invert_integral(self, a, target) -> np.ndarray:
         """Smallest t >= a with integral(a, t) == target, elementwise.
 
         Exact inverse of :meth:`integral`; every variant has unbounded mass,
@@ -165,4 +150,4 @@ class Baseline:
                 out = np.sqrt(np.maximum(lo, 0.0) ** 2 + 2.0 * mass / self.scale)
             else:
                 out = np.maximum(lo, self.epsilon) * np.exp(mass / self.scale)
-        return _match_input(np.where(mass <= 0.0, lo, out))
+        return np.where(mass <= 0.0, lo, out)

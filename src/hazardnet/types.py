@@ -21,14 +21,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _float_key(arr: np.ndarray) -> bytes:
+    """Bytes of a float array with -0.0 read as 0.0, so that arrays equal
+    under ``np.array_equal`` hash alike."""
+    return (arr + 0.0).tobytes()
+
+
+@dataclass(frozen=True, eq=False)
 class Cascade:
     """The trace of one contagion: which nodes got infected, and when.
 
     Nodes absent from ``nodes`` stayed uninfected for the whole observation
     window. Times are cascade-relative: the earliest infection (the source)
     sits at exactly 0, and simultaneous infections are rejected, so the event
-    order is strict.
+    order is strict. Two cascades are equal when their events are.
     """
 
     # slots without a per-instance dict; declared here rather than with
@@ -73,6 +79,14 @@ class Cascade:
         object.__setattr__(cascade, "nodes", _freeze(nodes))
         object.__setattr__(cascade, "times", _freeze(times))
         return cascade
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cascade):
+            return NotImplemented
+        return np.array_equal(self.nodes, other.nodes) and np.array_equal(self.times, other.times)
+
+    def __hash__(self) -> int:
+        return hash((self.nodes.tobytes(), _float_key(self.times)))
 
     def __reduce__(self):
         # rebuild through the constructor, so copies and unpickled cascades
@@ -136,13 +150,14 @@ class CascadeSet:
         return iter(self.cascades)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Dense matrix of directed edge parameters.
 
     ``params[j, i]`` is the influence of node j on node i. The diagonal is
     fixed at zero. Additive networks hold nonnegative rates; multiplicative
-    networks hold log-influences of either sign.
+    networks hold log-influences of either sign. Two networks are equal when
+    their kinds and parameters are.
     """
 
     params: np.ndarray
@@ -161,6 +176,14 @@ class Network:
         if self.kind == ADDITIVE and np.any(params < 0.0):
             raise ValueError("additive rates must be nonnegative")
         object.__setattr__(self, "params", _freeze(params))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Network):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.params, other.params)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, _float_key(self.params)))
 
     @property
     def num_nodes(self) -> int:

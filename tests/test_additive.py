@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 import hazardnet as hn
 from conftest import additive_instance, random_additive_network
-from hazardnet.additive import _column, _nll_gradient, _rates, _solve_column
+from hazardnet.additive import _column, _solve_column
 from hazardnet.optim import PackedCascades
 
 EXP = hn.ShapingFunction(hn.EXPONENTIAL)
@@ -77,32 +77,36 @@ def naive_gradient(net, shaping, cs):
 
 
 def naive_column(cs, shaping, target):
-    """Per-cascade build of one column's (exposure, parents, gamma, offsets)."""
+    """Per-cascade build of one column's exposure and kernel matrix: one row
+    per infection of ``target`` after the source, one column per node."""
     exposure = np.zeros(cs.num_nodes)
-    idx_chunks, gamma_chunks = [], []
+    rows = []
     for cascade in cs:
         hits = np.nonzero(cascade.nodes == target)[0]
         if hits.size == 0:
-            exposure[cascade.nodes] += np.asarray(shaping.cumulative(cascade.times, cs.window))
+            exposure[cascade.nodes] += shaping.cumulative(cascade.times, cs.window)
         elif hits[0] > 0:
             r = int(hits[0])
             parents, pt, ti = cascade.nodes[:r], cascade.times[:r], cascade.times[r]
-            exposure[parents] += np.asarray(shaping.cumulative(pt, ti))
-            idx_chunks.append(parents)
-            gamma_chunks.append(np.asarray(shaping.hazard(pt, ti)))
-    if not idx_chunks:
-        return exposure, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)
-    offsets = np.cumsum([0] + [len(c) for c in idx_chunks[:-1]])
-    return exposure, np.concatenate(idx_chunks), np.concatenate(gamma_chunks), offsets
+            exposure[parents] += shaping.cumulative(pt, ti)
+            row = np.zeros(cs.num_nodes)
+            row[parents] = shaping.hazard(pt, ti)
+            rows.append(row)
+    return exposure, np.array(rows).reshape(len(rows), cs.num_nodes)
 
 
 def column_nll(column, x):
     """The column objective exposure @ x - sum(log(rates)); inf where some
     explained infection has zero hazard."""
-    rates = _rates(column, x)
+    rates = column.kernels @ x
     if np.any(rates <= 0.0):
         return math.inf
     return float(column.exposure @ x - np.log(rates).sum())
+
+
+def column_gradient(column, x):
+    """Gradient of :func:`column_nll` where it is finite."""
+    return column.exposure - (1.0 / (column.kernels @ x)) @ column.kernels
 
 
 def projected_gradient_column(target, column, cfg, x0):
@@ -110,10 +114,10 @@ def projected_gradient_column(target, column, cfg, x0):
     stopped when the objective's relative change drops below ``cfg.tol``."""
     x = x0.copy()
     x[target] = 0.0
-    if column.parents.size == 0:
+    if column.kernels.shape[0] == 0:
         return np.zeros_like(x)
     f = column_nll(column, x)
-    grad = _nll_gradient(column, _rates(column, x))
+    grad = column_gradient(column, x)
     step = 1.0
     for _ in range(cfg.max_iters):
         step *= 2.0
@@ -129,13 +133,13 @@ def projected_gradient_column(target, column, cfg, x0):
         x, f = cand, f_cand
         if abs(previous - f) / max(abs(previous), 1.0) < cfg.tol:
             break
-        grad = _nll_gradient(column, _rates(column, x))
+        grad = column_gradient(column, x)
     return x
 
 
 def column_kkt(column, x):
     """KKT residual of the nonnegative column problem at ``x``."""
-    grad = _nll_gradient(column, _rates(column, x))
+    grad = column_gradient(column, x)
     return float(np.where(x > 0.0, np.abs(grad), np.maximum(-grad, 0.0)).max())
 
 
@@ -309,11 +313,9 @@ class TestGradient:
                 packed = PackedCascades(cs)
                 for i in range(cs.num_nodes):
                     column = _column(packed, shaping, i)
-                    exposure, parents, gamma, offsets = naive_column(cs, shaping, i)
+                    exposure, kernels = naive_column(cs, shaping, i)
                     assert np.array_equal(column.exposure, exposure)
-                    assert np.array_equal(column.parents, parents)
-                    assert np.array_equal(column.gamma, gamma)
-                    assert np.array_equal(column.segments.offsets, offsets)
+                    assert np.array_equal(column.kernels, kernels)
 
     def test_rejects_zero_hazard_infection(self):
         net = two_node_net(0.0)
@@ -357,7 +359,7 @@ class TestColumnSolver:
                         value = column_nll(column, y)
                         if not math.isfinite(value):
                             return 1e300, np.zeros_like(y)
-                        return value, _nll_gradient(column, _rates(column, y))
+                        return value, column_gradient(column, y)
 
                     ref = minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                                    options={"maxiter": 20000, "ftol": 1e-15, "gtol": 1e-12})

@@ -51,6 +51,18 @@ class TestCascade:
             assert not arr.flags.writeable
         assert back.nodes.dtype == np.int64 and back.times.dtype == np.float64
 
+    def test_value_equality_and_hash(self):
+        c = hn.Cascade.from_events([(0, 0.0), (1, 0.5), (2, 1.0)])
+        same = hn.Cascade.from_events([(2, 1.0), (0, -0.0), (1, 0.5)])
+        later = hn.Cascade.from_events([(0, 0.0), (1, 0.5), (2, 1.5)])
+        other_node = hn.Cascade.from_events([(0, 0.0), (1, 0.5), (3, 1.0)])
+        shorter = hn.Cascade.from_events([(0, 0.0), (1, 0.5)])
+        assert c == same and hash(c) == hash(same)
+        assert c != later and c != other_node and c != shorter
+        assert c != c.events()
+        assert {c, same, later, other_node} == {c, later, other_node}
+        assert same in {c} and shorter not in {c}
+
     def test_source_and_duration(self):
         c = hn.Cascade.from_events([(3, 0.0), (1, 2.5)])
         assert c.source == 3
@@ -76,6 +88,17 @@ class TestCascadeSet:
     def test_empty_set_is_fine(self):
         cs = hn.CascadeSet(4, 1.0, ())
         assert len(cs) == 0
+
+    def test_value_equality_and_hash(self):
+        a = hn.Cascade.from_events([(0, 0.0), (1, 0.5)])
+        b = hn.Cascade.from_events([(2, 0.0), (0, 0.25), (1, 0.75)])
+        cs = hn.CascadeSet(3, 2.0, (a, b))
+        copy_ = hn.CascadeSet(3, 2.0, [copy.deepcopy(a), copy.deepcopy(b)])
+        assert cs == copy_ and hash(cs) == hash(copy_)
+        assert cs != hn.CascadeSet(3, 2.0, (b, a))
+        assert cs != hn.CascadeSet(3, 3.0, (a, b))
+        assert cs != hn.CascadeSet(4, 2.0, (a, b))
+        assert len({cs, copy_}) == 1
 
 
 class TestNetwork:
@@ -108,6 +131,21 @@ class TestNetwork:
         assert net.edge_count() == 2
         assert net.edge_count(0.3) == 1
         assert [tuple(e) for e in net.edges()] == [(0, 1), (2, 0)]
+
+    def test_value_equality_and_hash(self):
+        params = np.zeros((3, 3))
+        params[0, 1] = 0.5
+        net = hn.Network(params, hn.ADDITIVE)
+        same = hn.Network(params.copy(), hn.ADDITIVE)
+        assert net == same and hash(net) == hash(same)
+        assert net != hn.Network(params, hn.MULTIPLICATIVE)
+        assert net != hn.Network(2.0 * params, hn.ADDITIVE)
+        assert net != hn.Network(np.zeros((2, 2)), hn.ADDITIVE)
+        assert net != None  # noqa: E711
+        negated_zero = hn.Network(-np.zeros((3, 3)), hn.MULTIPLICATIVE)
+        zero = hn.Network(np.zeros((3, 3)), hn.MULTIPLICATIVE)
+        assert negated_zero == zero and hash(negated_zero) == hash(zero)
+        assert {net, same, zero} == {net, zero}
 
     def test_immutable(self):
         net = hn.Network(np.zeros((2, 2)), hn.ADDITIVE)
