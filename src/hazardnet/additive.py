@@ -4,11 +4,14 @@ The cascade log-likelihood splits into a log-hazard term per non-source
 infection, an exposure term per (parent, infected) pair, and a survival term
 per (infected, uninfected) pair. The negative log-likelihood is convex in
 the rate matrix and separates over target-node columns, so the solver runs
-one projected-Newton subproblem per column and stops it on the column's KKT
-residual. Each column is its exposure coefficients plus the dense explained
-infection x parent kernel matrix G, built in one pass from the packed
-cascade set of :mod:`hazardnet.optim`: (G @ x)[k] is the total hazard at
-explained infection k. The solver, the set gradient and the KKT residual
+one projected-Newton subproblem per column, each step one LU solve, and
+stops it on the column's KKT residual. Each column is its exposure
+coefficients plus the dense explained infection x parent kernel matrix G:
+(G @ x)[k] is the total hazard at explained infection k. A column is built
+in one pass over the cascades of the packed set (:mod:`hazardnet.optim`)
+that infect its target after their source; the exposure the other cascades
+add ends at the window, and one matrix product over the packed set gives it
+for every column at once. The solver, the set gradient and the KKT residual
 all read that one layout, and the shared column runner in
 :mod:`hazardnet.optim` solves the columns one after another.
 """
@@ -149,9 +152,10 @@ def additive_gradient(net: Network, shaping: ShapingFunction, cs: CascadeSet) ->
     """
     check_kind(net, ADDITIVE)
     packed = PackedCascades(cs)
+    window = _window_exposure(packed, shaping)
     grad = np.zeros((net.num_nodes, net.num_nodes))
     for i in range(net.num_nodes):
-        exposure, G = _column(packed, shaping, i)
+        exposure, G = _column(packed, shaping, i, window[:, i])
         rates = G @ net.params[:, i]
         if np.any(rates <= 0.0):
             raise ValueError(
@@ -187,29 +191,39 @@ class _Column(NamedTuple):
     kernels: np.ndarray
 
 
-def _column(packed: PackedCascades, shaping: ShapingFunction, target: int) -> _Column:
+def _window_exposure(packed: PackedCascades, shaping: ShapingFunction) -> np.ndarray:
+    """Entry (j, i): node j's kernel integral from its infection to the
+    window, summed over the cascades that leave node i uninfected.
+
+    Column i is the exposure those cascades add to column i, for every
+    target at once: the C x N matrix of window integrals (zero where a node
+    is absent) times the C x N "uninfected" indicator.
+    """
+    integrals = np.zeros(packed.positions.shape)
+    integrals[packed.cascades.ids, packed.nodes] = shaping.cumulative(packed.times, packed.window)
+    return integrals.T @ (packed.positions < 0).astype(np.float64)
+
+
+def _column(
+    packed: PackedCascades, shaping: ShapingFunction, target: int, uninfected: np.ndarray
+) -> _Column:
     """Build the target column from the packed cascade set.
 
-    Every event before the target's infection (or all events, where it
-    stays uninfected) adds its kernel integral up to that infection (or the
-    window) to the exposure; the ones before an infection are its parents,
-    and fill that infection's row of the kernel matrix.
+    Only the cascades that infect the target after their source are read:
+    each event before that infection is one of its parents, adds its kernel
+    integral up to the infection to the exposure and fills the infection's
+    row of the kernel matrix. ``uninfected`` is the exposure the other
+    cascades add, column ``target`` of :func:`_window_exposure`.
     """
-    events, segments, hit = packed.prefix(target)
-    infected = hit >= 0
-    ends = np.where(infected, packed.times[hit], packed.window)[segments.ids]
+    events, segments, hit = packed.prefix(target, infected_only=True)
+    ends = packed.times[hit][segments.ids]
     nodes, times = packed.nodes[events], packed.times[events]
-    N = packed.num_nodes
+    N, M = packed.num_nodes, hit.size
     exposure = np.bincount(nodes, weights=shaping.cumulative(times, ends), minlength=N)
-    explained = infected[segments.ids]
-    rows = (np.cumsum(infected) - 1)[segments.ids[explained]]
-    M = int(np.count_nonzero(infected))
     kernels = np.bincount(
-        rows * N + nodes[explained],
-        weights=shaping.hazard(times[explained], ends[explained]),
-        minlength=M * N,
+        segments.ids * N + nodes, weights=shaping.hazard(times, ends), minlength=M * N
     )
-    return _Column(exposure, kernels.reshape(M, N))
+    return _Column(exposure + uninfected, kernels.reshape(M, N))
 
 
 def _solve_column(
@@ -222,8 +236,9 @@ def _solve_column(
     explained infection (their node is never its parent) carry only the
     linear term with exposure >= 0 and end at exactly 0. Zero entries of a
     start that leaves an infection unexplained start at 0.1 instead. Each
-    step takes a Cholesky Newton step on the free entries and a
-    Hessian-diagonal-scaled gradient step on the epsilon-active ones
+    step takes a Newton step on the free entries (one LU solve, see
+    :func:`_newton_step`) and a Hessian-diagonal-scaled gradient step on
+    the epsilon-active ones
     ({x <= eps, g > 0}, eps = min(0.1, residual)), with Armijo backtracking
     along the projection arc. The column is converged when its KKT residual
     is at most tol * max(1, max(exposure)); a stalled line search or the
@@ -259,7 +274,8 @@ def _solve_column(
         curvature = (inverse * inverse) @ squares
         direction = -grad / curvature
         if free.any():
-            W = G[:, free] * inverse[:, None]
+            W = G[:, free]
+            W *= inverse[:, None]
             direction[free] = _newton_step(W, grad[free], curvature[free])
         slope = float(grad[free] @ direction[free])
         step = 1.0
@@ -284,15 +300,21 @@ def _solve_column(
 
 
 def _newton_step(W: np.ndarray, grad: np.ndarray, curvature: np.ndarray) -> np.ndarray:
-    """-(W.T @ W)^-1 @ grad by Cholesky with a tiny ridge; the diagonal
-    step when the factorisation fails."""
+    """-(W.T @ W)^-1 @ grad with a tiny ridge, by one LU solve.
+
+    Falls back to the diagonal step -grad / curvature when the solve finds
+    the matrix singular, or returns a non-finite step or one that is not a
+    descent direction.
+    """
     H = W.T @ W
     H.flat[:: H.shape[0] + 1] += _RIDGE * float(curvature.max())
     try:
-        L = np.linalg.cholesky(H)
+        step = np.linalg.solve(H, -grad)
     except np.linalg.LinAlgError:
         return -grad / curvature
-    return -np.linalg.solve(L.T, np.linalg.solve(L, grad))
+    if np.isfinite(step).all() and float(grad @ step) < 0.0:
+        return step
+    return -grad / curvature
 
 
 def infer_additive(
@@ -309,9 +331,10 @@ def infer_additive(
     if len(cs) == 0:
         raise ValueError("need at least one cascade to infer from")
     packed = PackedCascades(cs)
+    window = _window_exposure(packed, cfg.shaping)
 
     def solve(i: int, x0: np.ndarray):
-        column = _column(packed, cfg.shaping, i)
+        column = _column(packed, cfg.shaping, i, window[:, i])
         if not column.kernels.any(axis=1).all():
             raise ValueError(
                 f"node {i} has an infection that no parameter can explain "

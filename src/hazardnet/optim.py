@@ -2,14 +2,17 @@
 the two solvers.
 
 Both likelihoods separate over target-node columns, and every column reads
-the events each cascade shows before the target's infection (all of them
-where the target stays uninfected). The cascade set is packed once into flat
-arrays, and each column gathers those events from them in cascade order:
-the additive column scatters them into its kernel matrix, the
-multiplicative one keeps them as ragged per-cascade segments that the
-scans below run over in the order of a per-cascade loop. The runner solves
-the columns one after another, each built and dropped in turn: memory stays
-O(events + C * N).
+the events each cascade shows before the target's infection. The cascade set
+is packed once into flat arrays, and each column gathers those events from
+them in cascade order. The multiplicative column keeps them as ragged
+per-cascade segments, all events of a cascade where the target stays
+uninfected included, and the scans below run over them in the order of a
+per-cascade loop. The additive column gathers only the cascades that infect
+the target after their source and scatters those events into its kernel
+matrix; its exposure to the cascades that leave the target uninfected ends
+at the window and comes from one matrix product shared by all columns. The
+runner solves the columns one after another, each built and dropped in
+turn: memory stays O(events + (C + N) * N).
 """
 
 from __future__ import annotations
@@ -87,15 +90,20 @@ class PackedCascades:
             counts[:, i] = ((rows >= 0) & (rows < rows[:, i, None])).sum(axis=0)
         return counts
 
-    def prefix(self, target: int) -> tuple[np.ndarray, Segments, np.ndarray]:
+    def prefix(
+        self, target: int, infected_only: bool = False
+    ) -> tuple[np.ndarray, Segments, np.ndarray]:
         """The events each cascade shows before ``target``'s infection.
 
         Returns their flat indices in cascade order, one segment per cascade
         that has any, and per segment the flat index of the target's
-        infection (-1 where the target stays uninfected).
+        infection (-1 where the target stays uninfected). A cascade where
+        the target stays uninfected contributes all its events, or none
+        with ``infected_only``: then every segment ends at an infection of
+        the target after its cascade's source.
         """
         position = self.positions[:, target]
-        upto = np.where(position < 0, self.cascades.lengths, position)
+        upto = np.where(position < 0, 0 if infected_only else self.cascades.lengths, position)
         kept = np.nonzero(upto)[0]
         segments = Segments.of_lengths(upto[kept])
         starts = self.cascades.offsets[kept]

@@ -7,8 +7,9 @@ import pytest
 from scipy.optimize import minimize
 
 import hazardnet as hn
+import hazardnet.additive as additive
 from conftest import additive_instance, random_additive_network
-from hazardnet.additive import _column, _solve_column
+from hazardnet.additive import _column, _newton_step, _solve_column, _window_exposure
 from hazardnet.optim import PackedCascades
 
 EXP = hn.ShapingFunction(hn.EXPONENTIAL)
@@ -93,6 +94,14 @@ def naive_column(cs, shaping, target):
             row[parents] = shaping.hazard(pt, ti)
             rows.append(row)
     return exposure, np.array(rows).reshape(len(rows), cs.num_nodes)
+
+
+def packed_columns(cs, shaping):
+    """Every target's column, built the way :func:`hn.infer_additive` builds
+    them: one packed set and one window-exposure product for all."""
+    packed = PackedCascades(cs)
+    window = _window_exposure(packed, shaping)
+    return [_column(packed, shaping, i, window[:, i]) for i in range(cs.num_nodes)]
 
 
 def column_nll(column, x):
@@ -307,15 +316,29 @@ class TestGradient:
                 assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_packed_columns_equal_per_cascade_build(self):
-        for seed in range(5):
-            for variant in hn.SHAPING_VARIANTS:
-                _, shaping, cs = additive_instance(seed, variant=variant)
-                packed = PackedCascades(cs)
-                for i in range(cs.num_nodes):
-                    column = _column(packed, shaping, i)
+        # The kernel matrix holds the same values in the same places. The
+        # exposure sums the same terms in another order: the uninfected
+        # cascades' part comes from one matrix product.
+        # Node 0 is only ever a source and node 3 is never infected: both
+        # have an empty kernel matrix, node 3 an exposure from the window only.
+        sources_only = hn.CascadeSet(4, 3.0, (
+            hn.Cascade.from_events([(0, 0.0), (1, 0.5), (2, 1.2)]),
+            hn.Cascade.from_events([(0, 0.0), (2, 0.3)]),
+            hn.Cascade.from_events([(0, 0.0)]),
+        ))
+        for variant in hn.SHAPING_VARIANTS:
+            shaping = hn.ShapingFunction(variant, delta=0.05)
+            instances = [additive_instance(seed, variant=variant)[2] for seed in range(5)]
+            for cs in instances + [sources_only]:
+                for i, column in enumerate(packed_columns(cs, shaping)):
                     exposure, kernels = naive_column(cs, shaping, i)
-                    assert np.array_equal(column.exposure, exposure)
                     assert np.array_equal(column.kernels, kernels)
+                    scale = np.maximum(np.abs(column.exposure), np.abs(exposure))
+                    assert np.all(np.abs(column.exposure - exposure) <= 1e-14 * scale)
+            columns = packed_columns(sources_only, shaping)
+            assert columns[0].kernels.shape == columns[3].kernels.shape == (0, 4)
+            assert not columns[0].exposure.any()
+            assert np.all(columns[3].exposure[:3] > 0.0) and columns[3].exposure[3] == 0.0
 
     def test_rejects_zero_hazard_infection(self):
         net = two_node_net(0.0)
@@ -331,11 +354,10 @@ class TestColumnSolver:
 
     def columns(self, seed, variant):
         _, shaping, cs = additive_instance(seed, variant=variant)
-        packed = PackedCascades(cs)
-        for i in range(cs.num_nodes):
+        for i, column in enumerate(packed_columns(cs, shaping)):
             x0 = np.full(cs.num_nodes, 0.1)
             x0[i] = 0.0
-            yield i, _column(packed, shaping, i), hn.AdditiveConfig(shaping=shaping), x0
+            yield i, column, hn.AdditiveConfig(shaping=shaping), x0
 
     def test_objective_at_most_projected_gradient(self):
         for seed in range(5):
@@ -371,13 +393,39 @@ class TestColumnSolver:
         cfg = hn.AdditiveConfig(shaping=shaping)
         result = hn.infer_additive(cs, cfg)
         assert result.converged
-        packed = PackedCascades(cs)
         limits = []
-        for i in range(32):
-            column = _column(packed, shaping, i)
+        for i, column in enumerate(packed_columns(cs, shaping)):
             limits.append(cfg.tol * max(1.0, column.exposure.max()))
             assert column_kkt(column, result.network.params[:, i]) <= limits[-1]
         assert hn.additive_kkt_violation(result.network, shaping, cs) <= max(limits)
+
+
+class TestNewtonStep:
+    """One LU solve of the ridged Hessian block, and the diagonal step where
+    that solve gives no usable descent direction."""
+
+    def inputs(self):
+        rng = np.random.default_rng(7)
+        W = rng.uniform(0.1, 1.0, size=(9, 4))
+        return W, rng.normal(size=4), (W * W).sum(axis=0)
+
+    def test_solves_the_ridged_newton_system(self):
+        W, grad, curvature = self.inputs()
+        step = _newton_step(W, grad, curvature)
+        H = W.T @ W + 1e-12 * curvature.max() * np.eye(4)
+        assert np.allclose(H @ step, -grad, rtol=0.0, atol=1e-12)
+        assert grad @ step < 0.0
+
+    @pytest.mark.parametrize("outcome", ["singular", "ascent", "non-finite"])
+    def test_falls_back_to_the_diagonal_step(self, monkeypatch, outcome):
+        def solve(H, b):
+            if outcome == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return -b if outcome == "ascent" else np.full_like(b, np.nan)
+
+        monkeypatch.setattr(additive.np.linalg, "solve", solve)
+        W, grad, curvature = self.inputs()
+        assert np.array_equal(_newton_step(W, grad, curvature), -grad / curvature)
 
 
 class TestFactorizedRoute:
