@@ -14,12 +14,7 @@ import math
 import numpy as np
 
 from .shaping import Baseline, ShapingFunction
-from .types import ADDITIVE, MULTIPLICATIVE, Cascade, Network, check_kind
-
-
-def _check_node(net: Network, node: int) -> None:
-    if not (0 <= node < net.num_nodes):
-        raise ValueError(f"node {node} outside universe of {net.num_nodes} nodes")
+from .types import ADDITIVE, MULTIPLICATIVE, Cascade, Network, check_kind, check_node
 
 
 def _parents_before(cascade: Cascade, node: int, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -46,7 +41,7 @@ def additive_hazard(
     the shaping kernel evaluated at the parent's age.
     """
     check_kind(net, ADDITIVE)
-    _check_node(net, node)
+    node = check_node(node, net.num_nodes)
     parents, times = _parents_before(cascade, node, t)
     if parents.size == 0:
         return 0.0
@@ -58,7 +53,7 @@ def additive_cumulative_hazard(
 ) -> float:
     """Integral of :func:`additive_hazard` over [0, t], in closed form."""
     check_kind(net, ADDITIVE)
-    _check_node(net, node)
+    node = check_node(node, net.num_nodes)
     parents, times = _parents_before(cascade, node, t)
     if parents.size == 0:
         return 0.0
@@ -87,7 +82,7 @@ def multiplicative_hazard(
 ) -> float:
     """Baseline rate at ``t`` scaled by exp(sum of influences of prior infections)."""
     check_kind(net, MULTIPLICATIVE)
-    _check_node(net, node)
+    node = check_node(node, net.num_nodes)
     _require_susceptible(cascade, node, t)
     parents, _ = _parents_before(cascade, node, t)
     log_mult = float(net.params[parents, node].sum()) if parents.size else 0.0
@@ -105,7 +100,7 @@ def multiplicative_cumulative_hazard(
     influence total.
     """
     check_kind(net, MULTIPLICATIVE)
-    _check_node(net, node)
+    node = check_node(node, net.num_nodes)
     if t <= 0.0:
         return 0.0
     _require_susceptible(cascade, node, t)

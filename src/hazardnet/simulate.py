@@ -10,9 +10,9 @@ and spread of their times for the rayleigh kernel; the hazard spent up to
 its latest parent, that parent's time and the log-multiplier since then for
 a baseline. A power-kernel target keeps its parents' times and rates, and
 the targets with several parents are solved together: their crossing
-segments in one array pass, and those with several live parents by a
-bisection that evaluates the hazard at every midpoint of every such
-target in one array pass.
+segments in one array pass, then the crossings themselves by Newton's
+method, one array pass per step over every target not yet settled. Each
+target stops on its own step, so its time depends only on its own parents.
 
 A set is sampled block by block: the cascades of a block advance in
 lockstep, each step committing the next event of every cascade still
@@ -30,14 +30,13 @@ sampled cascade does not depend on the refresh schedule.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .shaping import Baseline, POWER, RAYLEIGH, ShapingFunction
-from .types import ADDITIVE, MULTIPLICATIVE, Cascade, CascadeSet, Network
+from .types import ADDITIVE, MULTIPLICATIVE, Cascade, CascadeSet, Network, check_node
 
 KRONECKER_SEEDS = {
     "core-periphery": np.array([[0.9, 0.5], [0.5, 0.3]]),
@@ -45,7 +44,6 @@ KRONECKER_SEEDS = {
     "random": np.array([[0.5, 0.5], [0.5, 0.5]]),
 }
 
-_BISECT_TOL = 1e-10
 _BLOCK_CASCADES = 64  # cascades that simulate_set advances together
 
 
@@ -221,104 +219,6 @@ def _parent_sum(rates: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.cumsum(rates[:, :, None] * values, axis=1)[:, -1]
 
 
-def _walk(lo: float, hi: float, known: list[bool], guess: float):
-    """The bisection steps of one row on [lo, hi], on Python floats.
-
-    Step k keeps the upper half when ``known[k]`` says the hazard at its
-    midpoint is below the goal, and where no side is known yet, when the
-    midpoint is below ``guess``. Returns the result with the midpoints and
-    sides it took.
-    """
-    mids: list[float] = []
-    sides: list[bool] = []
-    for step in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_TOL * max(1.0, abs(hi)):
-            return mid, mids, sides
-        below = known[step] if step < len(known) else mid < guess
-        mids.append(mid)
-        sides.append(below)
-        if below:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), mids, sides
-
-
-def _bisect_rows(hazard, lo: np.ndarray, hi: np.ndarray, goal: np.ndarray, guess: list[float]):
-    """Bisect every row's [lo, hi] for the crossing of its hazard with its
-    goal; each row ends with the midpoints and result of the scalar rule.
-
-    The rule halves [lo, hi], keeping the upper half while the hazard at the
-    midpoint is below the goal, until hi - lo <= 1e-10 * max(1, |hi|) or for
-    200 steps, and returns the last midpoint. ``hazard(rows, t)`` evaluates
-    the listed rows at a (rows x steps) block of times.
-
-    Each round walks every open row on Python floats, taking the side of
-    its ``guess`` wherever no side is known, then evaluates the hazard at
-    all their midpoints in one array pass. A row whose guessed sides all
-    hold is done. Otherwise its first wrong step gets its true side, and
-    the row walks again in the next round toward that step's midpoint.
-    """
-    out = [0.0] * lo.size
-    known: list[list[bool]] = [[] for _ in range(lo.size)]
-    guess = list(guess)
-    bounds = list(zip(lo.tolist(), hi.tolist()))
-    todo = list(range(lo.size))
-    while todo:
-        walks = [_walk(*bounds[r], known[r], guess[r]) for r in todo]
-        for r, (result, _, _) in zip(todo, walks):
-            out[r] = result
-        walks = [(r, mids, sides) for r, (_, mids, sides) in zip(todo, walks) if mids]
-        if not walks:
-            break
-        # pad each row to the longest walk by repeating its last step,
-        # whose side holds exactly when the last step's does
-        steps = max(len(mids) for _, mids, _ in walks)
-        todo = [r for r, _, _ in walks]
-        mids = np.array([mids + mids[-1:] * (steps - len(mids)) for _, mids, _ in walks])
-        sides = np.array([sides + sides[-1:] * (steps - len(sides)) for _, _, sides in walks])
-        wrong = (hazard(todo, mids) < goal[todo, None]) != sides
-        todo = []
-        for i in np.flatnonzero(wrong.any(axis=1)).tolist():
-            r, row_mids, row_sides = walks[i]
-            step = int(wrong[i].argmax())
-            known[r] = row_sides[:step] + [not row_sides[step]]
-            guess[r] = row_mids[step]
-            todo.append(r)
-    return np.array(out)
-
-
-def _newton_guesses(tp, rates, delta, lo, hi, goal, start_hazard) -> list[float]:
-    """Each row's crossing of sum_j rate_j * log((t - t_j) / delta) with its
-    goal on [lo, hi], by Newton's method on Python floats.
-
-    The hazard is concave there, so Newton's method climbs to the root from
-    the bound t_last + (lo - t_last) * exp(residual / total rate), which the
-    latest parent t_last places at or left of it. The result only steers
-    :func:`_bisect_rows`, which confirms every side it takes.
-    """
-    out = []
-    for times, weights, a, b, g, h in zip(tp.tolist(), rates.tolist(), lo.tolist(),
-                                           hi.tolist(), goal.tolist(), start_hazard.tolist()):
-        live = [(tj, wj) for tj, wj in zip(times, weights) if wj > 0.0]
-        last = max(tj for tj, _ in live)
-        t = last + (a - last) * math.exp(min((g - h) / sum(wj for _, wj in live), 700.0))
-        for _ in range(50):
-            t = min(max(t, a), b)
-            value = slope = 0.0
-            for tj, wj in live:
-                age = max(t - tj, delta)
-                value += wj * math.log(age / delta)
-                slope += wj / age
-            step = (g - value) / slope
-            t += step
-            if abs(step) <= 1e-15 * t:
-                break
-        out.append(min(max(t, a), b))
-    return out
-
-
 class _PowerKernel:
     """Hazard state of each target under the power kernel.
 
@@ -328,7 +228,7 @@ class _PowerKernel:
     keeps at least one such empty slot. A target with one parent, infected
     at t_p with rate alpha, has the closed-form time
     t_p + delta * exp(target / alpha). The targets with several parents are
-    inverted together by :meth:`_invert`.
+    inverted together by :meth:`_invert`, by a per-row Newton solve.
     """
 
     def __init__(self, shaping: ShapingFunction, targets: np.ndarray, window: float) -> None:
@@ -369,8 +269,12 @@ class _PowerKernel:
 
         Each parent switches on delta after its infection. An entry's
         crossing is located on the grid of its switch-on points and the
-        window, then solved in closed form if one parent is live there and
-        by :func:`_bisect_rows` otherwise, for all such entries together.
+        window. On that segment the hazard sum_j alpha_j * log((t - t_j) /
+        delta) of the parents already on is concave and increasing, so
+        Newton's method climbs to the crossing from a start left of it, all
+        such entries in one array pass per step. Each entry stops on its own
+        once its step is no longer above 1e-15 * t, so its time depends only
+        on its own parents.
         """
         shaping, window = self.shaping, self.window
         tp = self.parent_time[entries, : width + 1]
@@ -390,27 +294,29 @@ class _PowerKernel:
         if not rows.size:
             return out
         seg = seg[rows]
-        a, b, before = grid[rows, seg - 1], grid[rows, seg], cumhaz[rows, seg - 1]
-        residual = target[rows] - before
-        tp, rates = tp[rows], rates[rows]
-        active = starts[rows] <= a[:, None]
-        live = active.sum(axis=1)
-        lone = (live == 1).nonzero()[0]
-        if lone.size:
-            j = active[lone].argmax(axis=1)
-            tp_one = tp[lone, j]
-            out[rows[lone]] = tp_one + (a[lone] - tp_one) * np.exp(residual[lone] / rates[lone, j])
-        several = (live > 1).nonzero()[0]
-        if several.size:
-            tp, a, b, before = tp[several], a[several], b[several], before[several]
-            rates = np.where(active[several], rates[several], 0.0)
-            goal = before + residual[several]
-            guess = _newton_guesses(tp, rates, shaping.delta, a, b, goal, before)
-
-            def hazard(sel, t):
-                return _parent_sum(rates[sel], shaping.cumulative(tp[sel][:, :, None], t[:, None, :]))
-
-            out[rows[several]] = _bisect_rows(hazard, a, b, goal, guess)
+        a, b, goal = grid[rows, seg - 1], grid[rows, seg], target[rows]
+        tp = tp[rows]
+        rates = np.where(starts[rows] <= a[:, None], rates[rows], 0.0)
+        # with every live rate moved onto the latest live parent, the hazard
+        # reaches the goal here: at or left of the crossing, and on it when
+        # that parent is the only live one
+        last = np.where(rates > 0.0, tp, -math.inf).max(axis=1)
+        with np.errstate(over="ignore"):
+            growth = np.exp((goal - cumhaz[rows, seg - 1]) / rates.cumsum(axis=1)[:, -1])
+        t = np.clip(last + (a - last) * growth, a, b)
+        todo = np.arange(rows.size)
+        for _ in range(50):
+            now, weights = t[todo, None, None], rates[todo]
+            value = _parent_sum(weights, shaping.cumulative(tp[todo, :, None], now))[:, 0]
+            slope = _parent_sum(weights, shaping.hazard(tp[todo, :, None], now))[:, 0]
+            # a zero slope means t sits on the switch-on point, within
+            # rounding of the crossing
+            step = np.divide(goal[todo] - value, slope, out=np.zeros(todo.size), where=slope > 0.0)
+            t[todo] = np.clip(t[todo] + step, a[todo], b[todo])
+            todo = todo[step > 1e-15 * t[todo]]
+            if not todo.size:
+                break
+        out[rows] = t
         return out
 
 
@@ -480,6 +386,9 @@ def infection_time_from_uniform(
     """
     if not (0.0 <= u < 1.0):
         raise ValueError("u must lie in [0, 1)")
+    node = check_node(node, net.num_nodes)
+    for parent in history.nodes.tolist():
+        check_node(parent, net.num_nodes, "history node")
     if np.any(history.nodes == node):
         raise ValueError("node is already part of the history")
     _check_window(t_max)
@@ -499,18 +408,6 @@ def infection_time_from_uniform(
 
 def _draw_targets(u: np.ndarray) -> np.ndarray:
     return -np.log1p(-u)
-
-
-def _check_source(source, num_nodes: int, cascade: int | None = None) -> int:
-    """``source`` as a node id; rejects non-integers and ids outside the universe."""
-    where = "" if cascade is None else f" of cascade {cascade}"
-    try:
-        node = operator.index(source)
-    except TypeError:
-        raise ValueError(f"source {source}{where} is not an integer node id") from None
-    if not 0 <= node < num_nodes:
-        raise ValueError(f"source {node}{where} outside universe of {num_nodes} nodes")
-    return node
 
 
 def _sample_rows(
@@ -595,7 +492,7 @@ def simulate_cascade(
     instead of only those whose hazard changed — slower, same cascade.
     """
     N = net.num_nodes
-    source = _check_source(source, N)
+    source = check_node(source, N, "source")
     _check_window(window)
     _check_pairing(net, model)
     if uniforms is None:
@@ -632,7 +529,7 @@ def simulate_set(
     if sources is not None:
         if len(sources) != num_cascades:
             raise ValueError("need exactly one source per cascade")
-        sources = [_check_source(s, N, k) for k, s in enumerate(sources)]
+        sources = [check_node(s, N, "source", f" of cascade {k}") for k, s in enumerate(sources)]
     children = np.random.SeedSequence(rng_seed).spawn(num_cascades)
     cascades: list[Cascade] = []
     for first in range(0, num_cascades, _BLOCK_CASCADES):

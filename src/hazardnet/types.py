@@ -6,6 +6,7 @@ they can be shared freely without defensive copies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -202,6 +203,20 @@ def check_kind(net: Network, kind: str) -> None:
     if net.kind != kind:
         article = "an" if kind == ADDITIVE else "a"
         raise ValueError(f"expected {article} {kind} network, got {net.kind}")
+
+
+def check_node(node, num_nodes: int, role: str = "node", where: str = "") -> int:
+    """``node`` as a node id; rejects non-integers and ids outside the universe.
+
+    ``role`` and ``where`` frame the id in the error message.
+    """
+    try:
+        index = operator.index(node)
+    except TypeError:
+        raise ValueError(f"{role} {node}{where} is not an integer node id") from None
+    if not 0 <= index < num_nodes:
+        raise ValueError(f"{role} {index}{where} outside universe of {num_nodes} nodes")
+    return index
 
 
 def check_window(cascade: Cascade, window: float) -> None:

@@ -222,3 +222,35 @@ class TestNonnegativity:
             base = hn.Baseline(variant, log_scale=0.4)
             for t in np.linspace(0.0, 4.0, 30):
                 assert hn.multiplicative_hazard(net, base, c, 2, float(t)) >= 0.0
+
+
+class TestNodeIds:
+    FUNCTIONS = {
+        hn.ADDITIVE: (hn.additive_hazard, hn.additive_cumulative_hazard, hn.additive_cdf,
+                      hn.additive_density),
+        hn.MULTIPLICATIVE: (hn.multiplicative_hazard, hn.multiplicative_cumulative_hazard,
+                            hn.multiplicative_cdf, hn.multiplicative_density),
+    }
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (-1, "node -1 outside universe of 3 nodes"),
+            (3, "node 3 outside universe of 3 nodes"),
+            (1.5, r"node 1\.5 is not an integer node id"),
+            (np.float64(1.0), r"node 1\.0 is not an integer node id"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", [hn.ADDITIVE, hn.MULTIPLICATIVE])
+    def test_rejects_bad_node(self, kind, bad, message):
+        net = hn.Network(np.full((3, 3), 0.5) - 0.5 * np.eye(3), kind)
+        model = EXP if kind == hn.ADDITIVE else hn.Baseline(hn.CONSTANT)
+        c = hn.Cascade.from_events([(0, 0.0)])
+        for fn in self.FUNCTIONS[kind]:
+            with pytest.raises(ValueError, match=message):
+                fn(net, model, c, bad, 1.0)
+
+    def test_integer_node_of_any_type_is_kept(self):
+        net = two_node_net(0.5)
+        c = hn.Cascade.from_events([(0, 0.0)])
+        assert hn.additive_hazard(net, EXP, c, np.int32(1), 1.0) == 0.5

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import hazardnet as hn
 from hazardnet.simulate import (
     _BLOCK_CASCADES,
     _PowerKernel,
-    _bisect_rows,
     _draw_targets,
     _running_hazard,
     _sample_rows,
@@ -37,15 +38,16 @@ FAMILIES = {
 
 
 def reference_bisect(fn, lo, hi, target):
-    for _ in range(200):
+    """Bisect [lo, hi] for the crossing of the increasing fn with target
+    until no float lies strictly inside the bracket."""
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-10 * max(1.0, abs(hi)):
+        if not lo < mid < hi:
             return mid
         if fn(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def reference_invert_additive(shaping, parent_times, alphas, target, t_max):
@@ -398,9 +400,10 @@ class TestBatchedRefresh:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_single_node_replay_matches_reference(self, family):
         model = FAMILIES[family]
-        # the replay bisects over the parents so far, the reference over the
-        # whole history: multi-parent power times agree to the bisection's
-        # 1e-10 relative tolerance, the closed forms to rounding
+        # the replay solves by Newton's method over the parents so far, the
+        # reference bisects to the exact root over the whole history; they
+        # agree to rounding (9e-16 on these draws), and multi-parent power
+        # times keep the 4e-10 bound of the 1e-10 bisection Newton replaced
         tol = 4.0 * 1e-10 if family == hn.POWER else 1e-12
         rng = np.random.default_rng(43)
         for _ in range(200):
@@ -495,6 +498,28 @@ class TestLockstep:
         assert any(tied[::2])
         assert not any(tied[1::2])
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_relabelled_network_gives_relabelled_cascades(self, family):
+        # node i becomes perm[i] in the network, the sources and the
+        # uniforms; every cascade's nodes map the same way, its times stay
+        model = FAMILIES[family]
+        rng = np.random.default_rng(61)
+        net = random_network(kind_of(model), 24, rng)
+        perm = rng.permutation(24)
+        params = np.empty_like(net.params)
+        params[np.ix_(perm, perm)] = net.params
+        relabelled = hn.Network(params, net.kind)
+        sources = rng.integers(24, size=100)
+        uniforms = rng.random((100, 24))
+        moved = np.empty_like(uniforms)
+        moved[:, perm] = uniforms
+        got = _sample_rows(relabelled, model, perm[sources], moved, 4.0)
+        want = _sample_rows(net, model, sources, uniforms, 4.0)
+        assert sum(c.size for c in want) > 500
+        for cascade, original in zip(got, want):
+            assert np.array_equal(cascade.nodes, perm[original.nodes])
+            assert np.array_equal(cascade.times, original.times)
+
     def test_power_kernel_takes_each_entrys_own_parent_time(self):
         # rows of one block whose targets get parents at different times, and
         # whose longest parent lists differ, invert to the times of separate
@@ -531,6 +556,37 @@ class TestLockstep:
         assert np.all(np.isfinite(together))
 
 
+@st.composite
+def power_entries(draw, shaping, window):
+    """(target, [(parent time, rate), ...]) with 2-6 parents, some within 1e-9
+    of the one before, and a crossing anywhere, just past a switch-on point
+    or just before the window. A crossing within rounding of the window may
+    fall on either side of it, so the targets keep 1e-12 of relative margin
+    to the window's hazard, and switch-on points 1e-6 before it."""
+    latest = window - 0.1
+    times = [draw(st.floats(0.0, latest))]
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            times.append(times[-1] + draw(st.floats(0.0, 1e-9)))
+        else:
+            times.append(draw(st.floats(0.0, latest)))
+    times.sort()
+    rates = [draw(st.floats(0.05, 1.0)) for _ in times]
+
+    def hazard(t):
+        return float(np.array(rates) @ shaping.cumulative(np.array(times), t))
+
+    points = [t + shaping.delta for t in times if t + shaping.delta <= window - 1e-6]
+    where = draw(st.sampled_from(["anywhere", "switch-on", "window"]))
+    if where == "anywhere" or (where == "switch-on" and not points):
+        target = draw(st.floats(0.0, 4.0))
+    elif where == "switch-on":
+        target = hazard(draw(st.sampled_from(points))) + draw(st.floats(0.0, 1e-9))
+    else:
+        target = hazard(window) * (1.0 - draw(st.floats(1e-12, 1e-6)))
+    return target, list(zip(times, rates))
+
+
 class TestPowerInversion:
     """The power-kernel state inverts all its multi-parent entries in one
     batch; each entry must match the per-target oracle and its own inversion
@@ -558,8 +614,8 @@ class TestPowerInversion:
             entries.append((float(rng.exponential(1.5)), list(zip(times, rates))))
         return entries
 
-    def _state(self, entries):
-        state = _PowerKernel(POWER, np.array([target for target, _ in entries]), self.WINDOW)
+    def _state(self, entries, shaping=POWER):
+        state = _PowerKernel(shaping, np.array([target for target, _ in entries]), self.WINDOW)
         for step in range(max(len(parents) for _, parents in entries)):
             idx = np.array([k for k, (_, p) in enumerate(entries) if len(p) > step])
             state.add_parent(
@@ -595,25 +651,30 @@ class TestPowerInversion:
         alone = [self._state([entry]).times(np.zeros(1, dtype=np.int64))[0] for entry in entries]
         assert np.array_equal(together, alone)
 
-    def test_bisect_rows_takes_the_scalar_midpoints_from_any_guess(self):
-        # a hazard that is not monotone, so a guessed side is often wrong
-        rng = np.random.default_rng(8)
-        lo = np.append(rng.uniform(-3.0, 2.0, 20), [-1e300, 1.0])
-        hi = np.append(lo[:20] + rng.uniform(1e-3, 40.0, 20), [1.0, 1.0 + 1e-11])
-        centre = rng.uniform(lo, hi)
-        goal = rng.uniform(0.0, 4.0, lo.size)
-        # the last two rows: 200 halvings leave [-1e300, 1] far wider than
-        # the stop, so the cap ends it; [1, 1 + 1e-11] stops before a step
-
-        def hazard(rows, t):
-            return np.abs(t - centre[rows, None])
-
-        want = [
-            reference_bisect(lambda t, k=k: abs(t - centre[k]), lo[k], hi[k], goal[k])
-            for k in range(lo.size)
-        ]
-        for guess in (lo, hi, centre, rng.uniform(lo, hi)):
-            assert np.array_equal(_bisect_rows(hazard, lo, hi, goal, guess.tolist()), want)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), delta=st.floats(-4.0, 0.0).map(lambda e: 10.0**e))
+    @example(data=None, delta=0.1)
+    def test_batched_newton_finds_the_exact_root_of_each_entry(self, data, delta):
+        shaping = hn.ShapingFunction(hn.POWER, delta=delta)
+        if data is None:
+            # both parents switch on at one instant that lies a rounding step
+            # past their age delta, with a target so small that the crossing
+            # sits on that instant, where the kernel of each reads zero
+            entries = [(1e-20, [(0.8093601412916109, 0.5)] * 2)]
+        else:
+            entries = data.draw(
+                st.lists(power_entries(shaping, self.WINDOW), min_size=1, max_size=6)
+            )
+        together = self._state(entries, shaping).times(np.arange(len(entries)))
+        for k, (target, parents) in enumerate(entries):
+            times, rates = (np.array(v) for v in zip(*parents))
+            want = reference_invert_additive(shaping, times, rates, target, self.WINDOW)
+            if math.isinf(want):
+                assert together[k] == math.inf, k
+            else:
+                assert abs(together[k] - want) <= 1e-12 * max(1.0, abs(want)), k
+            alone = self._state([(target, parents)], shaping).times(np.zeros(1, dtype=np.int64))
+            assert np.array_equal(together[k : k + 1], alone), k
 
 
 class TestSimulateCascade:
@@ -733,6 +794,36 @@ class TestSimulateCascade:
         net = hn.Network(np.full((3, 3), 0.5) - 0.5 * np.eye(3), hn.ADDITIVE)
         with pytest.raises(ValueError, match=message):
             hn.simulate_set(net, EXP, 4, 1.0, sources=[0, np.int64(2), bad, 1])
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (-1, "-1 outside universe of 3 nodes"),
+            (3, "3 outside universe of 3 nodes"),
+            (2.7, r"2\.7 is not an integer node id"),
+            (np.float64(1.0), r"1\.0 is not an integer node id"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["simulate_cascade", "infection_time_from_uniform"])
+    def test_rejects_bad_node_id(self, entry, bad, message):
+        net = hn.Network(np.full((3, 3), 0.5) - 0.5 * np.eye(3), hn.ADDITIVE)
+        history = hn.Cascade.from_events([(0, 0.0)])
+        calls = {
+            "simulate_cascade": ("source", lambda: hn.simulate_cascade(net, EXP, bad, 1.0)),
+            "infection_time_from_uniform": ("node", lambda: hn.infection_time_from_uniform(
+                net, POWER, history, bad, 0.9, 1.0
+            )),
+        }
+        role, call = calls[entry]
+        with pytest.raises(ValueError, match=f"{role} {message}"):
+            call()
+
+    @pytest.mark.parametrize("parent", [3, 7])
+    def test_rejects_history_node_outside_universe(self, parent):
+        net = hn.Network(np.full((3, 3), 0.5) - 0.5 * np.eye(3), hn.ADDITIVE)
+        history = hn.Cascade.from_events([(0, 0.0), (parent, 0.5)])
+        with pytest.raises(ValueError, match=f"history node {parent} outside universe of 3"):
+            hn.infection_time_from_uniform(net, POWER, history, 2, 0.9, 1.0)
 
     def test_cascade_rejects_fractional_source(self):
         net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
