@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optim import PackedCascades, solve_columns
+from .optim import ColumnFit, PackedCascades, pseudo_gradient, solve_columns
 from .shaping import ShapingFunction
 from .types import (
     ADDITIVE,
@@ -33,6 +33,7 @@ from .types import (
     InferenceResult,
     Network,
     check_kind,
+    check_universe,
     check_window,
 )
 
@@ -102,6 +103,7 @@ def additive_cascade_loglik(
 
 def additive_set_loglik(net: Network, shaping: ShapingFunction, cs: CascadeSet) -> float:
     """Sum of per-cascade log-likelihoods over the whole set."""
+    check_universe(net, cs)
     return float(sum(additive_cascade_loglik(net, shaping, c, cs.window) for c in cs))
 
 
@@ -151,6 +153,7 @@ def additive_gradient(net: Network, shaping: ShapingFunction, cs: CascadeSet) ->
     solver uses. Diagonal entries stay zero.
     """
     check_kind(net, ADDITIVE)
+    check_universe(net, cs)
     packed = PackedCascades(cs)
     window = _window_exposure(packed, shaping)
     grad = np.zeros((net.num_nodes, net.num_nodes))
@@ -170,16 +173,12 @@ def additive_kkt_violation(net: Network, shaping: ShapingFunction, cs: CascadeSe
     """Largest first-order optimality violation of the nonnegative MLE.
 
     For the negative log-likelihood gradient g: |g| on strictly positive
-    entries, max(0, -g) on entries at the zero boundary. The diagonal's
-    gradient is zero, so it adds none.
+    entries, max(0, -g) on entries at the zero boundary, the nonnegative
+    unpenalized case of :func:`hazardnet.optim.pseudo_gradient`. The
+    diagonal's gradient is zero, so it adds none.
     """
-    return float(_residual(net.params, -additive_gradient(net, shaping, cs)).max())
-
-
-def _residual(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Per-entry KKT residual at ``x`` given the NLL gradient ``grad``; the
-    rule :func:`additive_kkt_violation` states, shared with the solver."""
-    return np.where(x > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
+    grad = -additive_gradient(net, shaping, cs)
+    return float(np.abs(pseudo_gradient(net.params, grad, 0.0, signed=False)[0]).max())
 
 
 class _Column(NamedTuple):
@@ -226,9 +225,7 @@ def _column(
     return _Column(exposure + uninfected, kernels.reshape(M, N))
 
 
-def _solve_column(
-    column: _Column, cfg: AdditiveConfig, x0: np.ndarray
-) -> tuple[np.ndarray, list[float], bool, int]:
+def _solve_column(column: _Column, cfg: AdditiveConfig, x0: np.ndarray) -> ColumnFit:
     """Projected Newton (Bertsekas 1982) on one column NLL.
 
     The NLL is exposure @ x - sum(log(G @ x)) over x >= 0; its Hessian is
@@ -240,15 +237,15 @@ def _solve_column(
     :func:`_newton_step`) and a Hessian-diagonal-scaled gradient step on
     the epsilon-active ones
     ({x <= eps, g > 0}, eps = min(0.1, residual)), with Armijo backtracking
-    along the projection arc. The column is converged when its KKT residual
-    is at most tol * max(1, max(exposure)); a stalled line search or the
-    iteration cap leaves it unconverged.
+    along the projection arc. The column stops with status "kkt_ok" once its
+    KKT residual is at most tol * max(1, max(exposure)), "stalled" when the
+    line search finds no step and "iteration_cap" at ``max_iters`` steps.
     """
     exposure, G = column
     x = np.zeros(exposure.size)
     evidence = G.any(axis=0)
     if not evidence.any():
-        return x, [0.0], True, 0
+        return x, 0.0, 0, "kkt_ok"
     G, coef, v = G[:, evidence], exposure[evidence], x0[evidence]
     limit = cfg.tol * max(1.0, float(exposure.max()))
     rates = G @ v
@@ -257,17 +254,16 @@ def _solve_column(
         v = np.where(v > 0.0, v, _START)
         rates = G @ v
     squares = G * G
-    trace = [float(coef @ v - np.log(rates).sum())]
-    converged = False
     iterations = 0
     while True:
         inverse = 1.0 / rates
         grad = coef - inverse @ G
-        worst = float(_residual(v, grad).max())
+        worst = float(np.abs(pseudo_gradient(v, grad, 0.0, signed=False)[0]).max())
         if worst <= limit:
-            converged = True
+            status = "kkt_ok"
             break
         if iterations == cfg.max_iters:
+            status = "iteration_cap"
             break
         active = (v <= min(_EPSILON_CAP, worst)) & (grad > 0.0)
         free = ~active
@@ -290,13 +286,13 @@ def _solve_column(
                     break
             step *= 0.5
         if step < _MIN_STEP:
+            status = "stalled"
             break
         v = v + delta
         rates = rates + change
-        trace.append(float(coef @ v - np.log(rates).sum()))
         iterations += 1
     x[evidence] = v
-    return x, trace, converged, iterations
+    return x, float(coef @ v - np.log(G @ v).sum()), iterations, status
 
 
 def _newton_step(W: np.ndarray, grad: np.ndarray, curvature: np.ndarray) -> np.ndarray:
@@ -328,8 +324,6 @@ def infer_additive(
     independently. Columns whose node is never infected after another node
     are zero immediately.
     """
-    if len(cs) == 0:
-        raise ValueError("need at least one cascade to infer from")
     packed = PackedCascades(cs)
     window = _window_exposure(packed, cfg.shaping)
 

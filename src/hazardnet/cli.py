@@ -181,7 +181,8 @@ def simulate(network, cascades, window, shaping, delta, baseline, a0, epsilon,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 @click.option("--trace", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Optional CSV of the objective per iteration.")
+              help="Optional CSV of each target column's status, Newton steps and "
+                   "final objective, one row per column.")
 @_runtime_errors
 def infer(model, cascades_path, shaping, delta, baseline, a0, epsilon, l1_penalty,
           max_iters, tol, edge_threshold, seed, out, trace) -> None:
@@ -200,12 +201,9 @@ def infer(model, cascades_path, shaping, delta, baseline, a0, epsilon, l1_penalt
         result = infer_multiplicative(cs, cfg)
     write_network(out, result.network, metadata={"seed": seed, "converged": result.converged})
     if trace is not None:
-        write_csv(
-            trace,
-            ["iteration", "objective"],
-            [(k, float(v)) for k, v in enumerate(result.objective_trace)],
-            metadata={"seed": seed},
-        )
+        rows = zip(result.status, result.steps.tolist(), result.objectives.tolist())
+        write_csv(trace, ["column", "status", "steps", "objective"],
+                  [(i, *row) for i, row in enumerate(rows)], metadata={"seed": seed})
     status = "converged" if result.converged else "NOT converged"
     edges = result.network.edge_count(edge_threshold)
     click.echo(f"{status} after {result.iterations} iterations; {edges} edges above "

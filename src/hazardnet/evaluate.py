@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .shaping import Baseline, ShapingFunction
-from .types import MULTIPLICATIVE, CascadeSet, Network
+from .types import MULTIPLICATIVE, CascadeSet, Network, check_universe
 from .simulate import simulate_set
 
 DURATION_BINS = 20
@@ -176,8 +176,7 @@ def predict_distributions(
 ) -> tuple[CascadeSet, tuple[DistributionSummary, DistributionSummary]]:
     """Simulate one cascade per held-out cascade, from its true source, over
     the held-out window, and summarize both sets against each other."""
-    if trained.num_nodes != test.num_nodes:
-        raise ValueError("trained network and test set cover different universes")
+    check_universe(trained, test)
     sources = [c.source for c in test]
     simulated = simulate_set(
         trained, model, len(test), test.window, sources=sources, rng_seed=rng_seed

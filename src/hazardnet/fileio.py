@@ -15,12 +15,13 @@ metadata comments (e.g. the seed that produced the file) and are skipped.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .types import Cascade, CascadeSet, Network, NETWORK_KINDS
+from .types import ADDITIVE, Cascade, CascadeSet, Network, NETWORK_KINDS
 
 NETWORK_MAGIC = "netinf-network"
 CASCADE_MAGIC = "netinf-cascades"
@@ -37,13 +38,16 @@ def _metadata_lines(metadata: Mapping[str, object] | None) -> list[str]:
     return [f"# {key} {value}" for key, value in metadata.items()]
 
 
-def _content_lines(path: str) -> list[str]:
+def _content_lines(path: str) -> tuple[list[str], list[tuple[int, str]]]:
+    """The header's fields, and the lines after it that are neither blank
+    nor comments, each with its line number in the file."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw:
         raise ValueError(f"{path}: empty file, expected a header line")
-    body = [ln for ln in raw[1:] if ln.strip() and not ln.lstrip().startswith("#")]
-    return [raw[0]] + body
+    body = [(n, ln) for n, ln in enumerate(raw[1:], start=2)
+            if ln.strip() and not ln.lstrip().startswith("#")]
+    return raw[0].split(), body
 
 
 def write_network(path: str, net: Network, metadata: Mapping[str, object] | None = None) -> None:
@@ -56,8 +60,7 @@ def write_network(path: str, net: Network, metadata: Mapping[str, object] | None
 
 
 def read_network(path: str) -> Network:
-    lines = _content_lines(path)
-    header = lines[0].split()
+    header, body = _content_lines(path)
     if len(header) != 4 or header[0] != NETWORK_MAGIC or header[1] != FORMAT_VERSION:
         raise ValueError(f"{path}: not a {NETWORK_MAGIC} {FORMAT_VERSION} file")
     kind = header[2]
@@ -65,11 +68,13 @@ def read_network(path: str) -> Network:
         raise ValueError(f"{path}: unknown network kind {kind!r}")
     try:
         num_nodes = int(header[3])
-    except ValueError as e:
-        raise ValueError(f"{path}: bad node count {header[3]!r}") from e
+    except ValueError:
+        num_nodes = 0
+    if num_nodes < 1:
+        raise ValueError(f"{path}: bad node count {header[3]!r}")
     params = np.zeros((num_nodes, num_nodes))
     seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'j i alpha'")
@@ -81,6 +86,10 @@ def read_network(path: str) -> Network:
             raise ValueError(f"{path}:{lineno}: node id outside universe")
         if j == i:
             raise ValueError(f"{path}:{lineno}: diagonal entries are not allowed")
+        if not math.isfinite(alpha):
+            raise ValueError(f"{path}:{lineno}: edge parameters must be finite")
+        if kind == ADDITIVE and alpha < 0.0:
+            raise ValueError(f"{path}:{lineno}: additive rates must be nonnegative")
         if (j, i) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate entry for ({j}, {i})")
         seen.add((j, i))
@@ -101,17 +110,16 @@ def write_cascades(path: str, cs: CascadeSet, metadata: Mapping[str, object] | N
 
 
 def read_cascades(path: str) -> CascadeSet:
-    lines = _content_lines(path)
-    header = lines[0].split()
+    header, body = _content_lines(path)
     if len(header) != 4 or header[0] != CASCADE_MAGIC or header[1] != FORMAT_VERSION:
         raise ValueError(f"{path}: not a {CASCADE_MAGIC} {FORMAT_VERSION} file")
     try:
         num_nodes = int(header[2])
         window = float(header[3])
     except ValueError as e:
-        raise ValueError(f"{path}: bad header {lines[0]!r}") from e
+        raise ValueError(f"{path}: bad header {' '.join(header)!r}") from e
     cascades = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in body:
         nodes, times = [], []
         for token in line.strip().split(","):
             node_part, sep, time_part = token.partition(":")

@@ -25,8 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .optim import (
+    ColumnFit,
     PackedCascades,
     Segments,
+    pseudo_gradient,
     segment_cumsum,
     segment_reverse_cumsum,
     solve_columns,
@@ -39,6 +41,7 @@ from .types import (
     InferenceResult,
     Network,
     check_kind,
+    check_universe,
     check_window,
 )
 
@@ -168,6 +171,7 @@ def multiplicative_set_loglik(
 
     Only parameters inside ``mask`` enter; -inf if any cascade is -inf.
     """
+    check_universe(net, cs)
     return float(
         sum(multiplicative_cascade_loglik(net, baseline, mask, c, cs.window) for c in cs)
     )
@@ -184,6 +188,7 @@ def multiplicative_gradient(
     from the packed cascade set.
     """
     check_kind(net, MULTIPLICATIVE)
+    check_universe(net, cs)
     A = _masked_params(net, mask)
     packed = PackedCascades(cs)
     weights = packed.interval_weights(baseline)
@@ -208,19 +213,12 @@ def multiplicative_kkt_violation(
 
     For the negative log-likelihood gradient g, over the entries inside the
     mask: |g + l1_penalty * sign(x)| on nonzero entries, max(0, |g| -
-    l1_penalty) on zero ones.
+    l1_penalty) on zero ones, the |pseudo-gradient| of
+    :func:`hazardnet.optim.pseudo_gradient`.
     """
     nll_grad = -multiplicative_gradient(net, baseline, mask, cs)
-    residual = _residual(net.params, nll_grad, l1_penalty)
-    return float(residual[mask.matrix].max(initial=0.0))
-
-
-def _residual(x: np.ndarray, grad: np.ndarray, penalty: float) -> np.ndarray:
-    """Per-entry KKT residual at ``x`` given the NLL gradient ``grad``; the
-    rule :func:`multiplicative_kkt_violation` states, shared with the solver."""
-    return np.where(
-        x != 0.0, np.abs(grad + penalty * np.sign(x)), np.maximum(np.abs(grad) - penalty, 0.0)
-    )
+    pg = pseudo_gradient(net.params, nll_grad, l1_penalty, signed=True)[0]
+    return float(np.abs(pg[mask.matrix]).max(initial=0.0))
 
 
 def extract_signed_edges(net: Network, threshold: float) -> list[SignedEdge]:
@@ -398,31 +396,26 @@ def _newton_steps(
     penalty: float,
     limit: float,
     budget: int,
-    trace: list[float],
 ) -> tuple[np.ndarray, int, bool]:
     """Orthant-wise Newton (Byrd et al. 2016) on the column restricted to W.
 
-    Runs from ``v`` for at most ``budget`` steps and appends each accepted
-    step's penalized objective to ``trace``. Returns the values, the steps
-    taken, and whether the line search stalled; it stops early once the
-    restricted KKT residual is at most ``limit``. The orthant is sign(v),
-    or -sign(g) where v is zero; a zero entry with |g| <= penalty is pinned.
-    Each trial clips the entries that cross zero and is accepted on the
-    exact change of the objective, which must be finite and meet the Armijo
-    condition along a move that decreases the orthant's linear model.
+    Runs from ``v`` for at most ``budget`` steps. Returns the values, the
+    steps taken, and whether the line search stalled; it stops early once
+    the restricted KKT residual is at most ``limit``. The orthant and the
+    entering and pinned zero entries are those of the pseudo-gradient
+    (:func:`hazardnet.optim.pseudo_gradient`). Each trial clips the entries
+    that cross zero and is accepted on the exact change of the objective,
+    which must be finite and meet the Armijo condition along a move that
+    decreases the orthant's linear model.
     """
     lam = _block_hazards(blocks, v)
     for taken in range(budget):
         pulls, own = _block_pulls(blocks, lam, v.size)
-        grad = own - count_w
-        zero = v == 0.0
-        orthant = np.sign(np.where(zero, -grad, v))
-        entering = zero & (np.abs(grad) > penalty)
-        pinned = zero ^ entering
-        pg = np.where(pinned, 0.0, grad + penalty * orthant)
+        pg, orthant, entering = pseudo_gradient(v, own - count_w, penalty, signed=True)
         if np.abs(pg).max() <= limit:
             return v, taken, False
         hess = _block_hessian(blocks, pulls, own)
+        pinned = (v == 0.0) ^ entering
         direction = _orthant_direction(hess, own, pg, orthant, entering, pinned)
         # every trial stays in the closed orthant, where the penalty is linear
         linear = penalty * orthant - count_w
@@ -441,7 +434,6 @@ def _newton_steps(
         else:
             return v, taken, True
         v, lam = trial, lam + change
-        trace.append(trace[-1] + decrease)
     return v, budget, False
 
 
@@ -453,27 +445,25 @@ def _solve_column_mult(
     penalty: float,
     cfg: MultiplicativeConfig,
     x0: np.ndarray,
-) -> tuple[np.ndarray, list[float], bool, int]:
+) -> ColumnFit:
     """Working-set orthant-wise Newton on one column's penalized NLL.
 
-    Each outer pass evaluates the whole column. Its KKT residual over the
-    free entries (:func:`_residual`) decides convergence: the column is
-    converged at a residual of at most ``tol * max(1, largest co-infection
-    count)``. Otherwise the working set W becomes the support plus the zero
-    entries of largest positive residual (the violators), at most as many
-    as the support has plus ``_GROWTH``, and Newton steps on W (see
-    :func:`_newton_steps`) run until its own residual meets the bound, or a
-    ``_WAITING`` fraction of the worst violator left out of W while there is
-    one. A W on which the line search stalled, or that took no step, ends
-    the column unconverged when the next pass picks it again; so does
-    reaching ``max_iters`` Newton steps in all.
+    Each outer pass evaluates the whole column and its penalized objective.
+    Its KKT residual over the free entries (the |pseudo-gradient|) decides
+    convergence: the column stops with status "kkt_ok" at a residual of at
+    most ``tol * max(1, largest co-infection count)``. Otherwise the working
+    set W becomes the support plus the zero entries of largest positive
+    residual (the violators), at most as many as the support has plus
+    ``_GROWTH``, and Newton steps on W (see :func:`_newton_steps`) run until
+    its own residual meets the bound, or a ``_WAITING`` fraction of the
+    worst violator left out of W while there is one. A W on which the line search stalled, or that took no step, ends
+    the column "stalled" when the next pass picks it again; reaching
+    ``max_iters`` Newton steps in all ends it at "iteration_cap".
     """
     N = count_col.size
     x = np.zeros(N)
     x[free] = x0[free]
     limit = cfg.tol * max(1.0, float(count_col.max()))
-    trace: list[float] = []
-    converged = False
     iterations = 0
     stuck = None
     while True:
@@ -481,12 +471,12 @@ def _solve_column_mult(
         grad = _nll_gradient(column, lam, count_col)
         v, g = x[free], grad[free]
         objective = float(exposure - count_col @ x - const + penalty * np.abs(v).sum())
-        trace[-1:] = [objective]  # the exact value replaces the summed decreases
-        residual = _residual(v, g, penalty)
+        residual = np.abs(pseudo_gradient(v, g, penalty, signed=True)[0])
         if free.size == 0 or residual.max() <= limit:
-            converged = True
+            status = "kkt_ok"
             break
         if iterations == cfg.max_iters:
+            status = "iteration_cap"
             break
         support = np.nonzero(v)[0]
         violators = np.nonzero((v == 0.0) & (residual > 0.0))[0]
@@ -494,18 +484,18 @@ def _solve_column_mult(
         room = support.size + _GROWTH
         working = free[np.sort(np.concatenate([support, ranked[:room]]))]
         if stuck is not None and np.array_equal(working, stuck):
+            status = "stalled"
             break
         # while violators wait outside W, W need not be solved to the bound
         inner = limit if ranked.size <= room else max(limit, _WAITING * residual[ranked[room]])
         blocks = _restrict(column, working, N)
         with np.errstate(over="ignore", invalid="ignore"):
             x[working], taken, stalled = _newton_steps(
-                blocks, x[working], count_col[working], penalty, inner,
-                cfg.max_iters - iterations, trace,
+                blocks, x[working], count_col[working], penalty, inner, cfg.max_iters - iterations
             )
         iterations += taken
         stuck = working if stalled or taken == 0 else None
-    return x, trace, converged, iterations
+    return x, objective, iterations, status
 
 
 def infer_multiplicative(
@@ -518,8 +508,6 @@ def infer_multiplicative(
     Parameters outside the data's support mask are frozen at zero and never
     enter the objective. Columns solve independently.
     """
-    if len(cs) == 0:
-        raise ValueError("need at least one cascade to infer from")
     packed = PackedCascades(cs)
     counts = packed.coinfection_counts()
     penalty = cfg.l1_penalty if cfg.l1_penalty is not None else 0.01 * len(cs) / cs.num_nodes

@@ -1,5 +1,5 @@
-"""The packed cascade set, segmented scans and the column runner shared by
-the two solvers.
+"""The packed cascade set, segmented scans, the KKT rule and the column
+runner shared by the two solvers.
 
 Both likelihoods separate over target-node columns, and every column reads
 the events each cascade shows before the target's infection. The cascade set
@@ -12,7 +12,10 @@ the target after their source and scatters those events into its kernel
 matrix; its exposure to the cascades that leave the target uninfected ends
 at the window and comes from one matrix product shared by all columns. The
 runner solves the columns one after another, each built and dropped in
-turn: memory stays O(events + (C + N) * N).
+turn: memory stays O(events + (C + N) * N). Each column reports its own
+final objective, Newton steps and status, and both solvers measure their
+stop by one pseudo-gradient: the additive problem (x >= 0) is the
+nonnegative, unpenalized case of the multiplicative L1 problem.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .types import ADDITIVE, CascadeSet, InferenceResult, Network, aggregate_traces
+from .types import CascadeSet, InferenceResult, Network
 
 
 class Segments(NamedTuple):
@@ -112,7 +115,30 @@ class PackedCascades:
         return events, segments, hit
 
 
-ColumnSolution = tuple[np.ndarray, list[float], bool, int]
+def pseudo_gradient(
+    x: np.ndarray, grad: np.ndarray, penalty: float, signed: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pseudo-gradient of NLL + penalty * |x|_1 (Andrew & Gao 2007).
+
+    ``grad`` is the NLL gradient. With ``signed`` the entries may take either
+    sign; otherwise they are held at x >= 0, and the additive model's
+    constraint is the case ``penalty`` = 0. The orthant is sign(x), and at
+    zero the side the gradient points into: -sign(g), or +1 when not
+    ``signed``. A zero entry is entering where moving into that orthant
+    decreases the objective, orthant * g < -penalty; the other zero entries
+    are pinned and get 0. Returns (pg, orthant, entering); |pg| is each
+    entry's KKT residual.
+    """
+    zero = x == 0.0
+    orthant = np.sign(np.where(zero, -grad, x)) if signed else np.where(zero, 1.0, np.sign(x))
+    entering = zero & (orthant * grad < -penalty)
+    pg = grad + penalty * orthant
+    pg[zero ^ entering] = 0.0
+    return pg, orthant, entering
+
+
+# a column's parameters, final objective, Newton steps and status
+ColumnFit = tuple[np.ndarray, float, int, str]
 
 
 def solve_columns(
@@ -120,32 +146,23 @@ def solve_columns(
     kind: str,
     init: Network | np.ndarray | None,
     default: float,
-    solve: Callable[[int, np.ndarray], ColumnSolution],
+    solve: Callable[[int, np.ndarray], ColumnFit],
 ) -> InferenceResult:
     """Solve every target column and assemble the fitted network.
 
-    ``solve(i, x0)`` returns (column, objective trace, converged, iterations)
-    for column i started at ``x0``. Without ``init`` every off-diagonal entry
-    starts at ``default``.
+    ``solve(i, x0)`` returns column i's fit started at ``x0``: its
+    parameters, its objective there, its Newton steps and its status, which
+    :class:`InferenceResult` carries per column. ``init`` must be a valid
+    ``kind`` network over the set's nodes; without it every off-diagonal
+    entry starts at ``default``.
     """
+    if len(cs) == 0:
+        raise ValueError("need at least one cascade to infer from")
     N = cs.num_nodes
     if init is None:
-        start = np.full((N, N), default)
-        np.fill_diagonal(start, 0.0)
-    else:
-        start = np.array(init.params if isinstance(init, Network) else init, dtype=np.float64)
-        if start.shape != (N, N):
-            raise ValueError("init must be an N x N matrix")
-        if not np.all(np.isfinite(start)):
-            raise ValueError("init must be finite")
-        if kind == ADDITIVE and np.any(start < 0.0):
-            raise ValueError("init must be nonnegative")
-    results = list(map(solve, range(N), start.T))
-    params = np.column_stack([r[0] for r in results])
-    np.fill_diagonal(params, 0.0)
-    return InferenceResult(
-        network=Network(params, kind),
-        objective_trace=aggregate_traces([np.asarray(r[1]) for r in results]),
-        converged=all(r[2] for r in results),
-        iterations=max(r[3] for r in results),
-    )
+        init = default * (1.0 - np.eye(N))
+    start = Network(init.params if isinstance(init, Network) else init, kind).params
+    if start.shape != (N, N):
+        raise ValueError("init must be an N x N matrix")
+    columns, objectives, steps, status = zip(*map(solve, range(N), start.T))
+    return InferenceResult(Network(np.column_stack(columns), kind), objectives, steps, status)

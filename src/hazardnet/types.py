@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -205,6 +205,15 @@ def check_kind(net: Network, kind: str) -> None:
         raise ValueError(f"expected {article} {kind} network, got {net.kind}")
 
 
+def check_universe(net: Network, cs: CascadeSet) -> None:
+    """Reject a network and a cascade set over different node universes."""
+    if net.num_nodes != cs.num_nodes:
+        raise ValueError(
+            f"the network has {net.num_nodes} nodes but the cascade set "
+            f"has {cs.num_nodes}: they cover different universes"
+        )
+
+
 def check_node(node, num_nodes: int, role: str = "node", where: str = "") -> int:
     """``node`` as a node id; rejects non-integers and ids outside the universe.
 
@@ -226,41 +235,34 @@ def check_window(cascade: Cascade, window: float) -> None:
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """An inferred network plus solver diagnostics.
+    """An inferred network plus each target column's solver report.
 
-    ``objective_trace`` holds the minimized objective per Newton step
-    (column traces are summed; converged columns hold their final value).
-    For L1-regularized solves the trace is the penalized objective, since
-    that is the quantity the solver decreases monotonically.
-
-    ``converged`` is True only when every column's KKT residual met its
-    solver's bound (see ``AdditiveConfig`` and ``MultiplicativeConfig``). A
-    stalled line search or the iteration cap leaves it False.
-    ``iterations`` is the largest per-column count of Newton steps.
+    Entry i of ``objectives`` is column i's minimized objective at the
+    returned parameters: its negative log-likelihood, plus the L1 penalty
+    over the support mask for the multiplicative model, so the entries sum to
+    the set's objective. ``steps[i]`` counts column i's Newton steps, and
+    ``status[i]`` says why it stopped: ``"kkt_ok"`` when its KKT residual met
+    its solver's bound (see ``AdditiveConfig`` and ``MultiplicativeConfig``),
+    ``"iteration_cap"`` at ``max_iters`` steps, ``"stalled"`` when the line
+    search could make no progress.
     """
 
     network: Network
-    objective_trace: np.ndarray
-    converged: bool
-    iterations: int
+    objectives: np.ndarray
+    steps: np.ndarray
+    status: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        trace = np.ascontiguousarray(self.objective_trace, dtype=np.float64)
-        object.__setattr__(self, "objective_trace", _freeze(trace))
+        object.__setattr__(self, "objectives", _freeze(np.array(self.objectives, dtype=float)))
+        object.__setattr__(self, "steps", _freeze(np.array(self.steps, dtype=np.int64)))
+        object.__setattr__(self, "status", tuple(self.status))
 
+    @property
+    def converged(self) -> bool:
+        """True when every column stopped on its KKT bound."""
+        return all(s == "kkt_ok" for s in self.status)
 
-def aggregate_traces(traces: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum per-column objective traces of unequal length.
-
-    Columns that converged early are held at their final value, so the sum
-    stays nonincreasing whenever every input trace is.
-    """
-    if not traces:
-        return np.zeros(0)
-    length = max(len(t) for t in traces)
-    total = np.zeros(length)
-    for t in traces:
-        t = np.asarray(t, dtype=np.float64)
-        padded = np.concatenate([t, np.full(length - len(t), t[-1])]) if len(t) < length else t
-        total += padded
-    return total
+    @property
+    def iterations(self) -> int:
+        """The largest per-column count of Newton steps."""
+        return int(self.steps.max())

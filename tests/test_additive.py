@@ -363,10 +363,10 @@ class TestColumnSolver:
         for seed in range(5):
             for variant in hn.SHAPING_VARIANTS:
                 for i, column, cfg, x0 in self.columns(seed, variant):
-                    x, trace, converged, _ = _solve_column(column, cfg, x0)
-                    assert converged
+                    x, objective, _, status = _solve_column(column, cfg, x0)
+                    assert status == "kkt_ok"
                     newton = column_nll(column, x)
-                    assert newton == trace[-1] or math.isclose(newton, trace[-1], rel_tol=1e-12)
+                    assert newton == objective or math.isclose(newton, objective, rel_tol=1e-12)
                     oracle = column_nll(column, projected_gradient_column(i, column, cfg, x0))
                     assert newton <= oracle + 1e-9 * max(abs(oracle), 1.0)
 
@@ -462,7 +462,9 @@ class TestInference:
         a = hn.infer_additive(cs, cfg)
         b = hn.infer_additive(cs, cfg)
         np.testing.assert_array_equal(a.network.params, b.network.params)
-        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+        np.testing.assert_array_equal(a.objectives, b.objectives)
+        np.testing.assert_array_equal(a.steps, b.steps)
+        assert a.status == b.status
 
     def test_random_restarts_reach_same_objective(self):
         _, shaping, cs = additive_instance(35, n_nodes=6, n_cascades=60)
@@ -531,12 +533,31 @@ class TestInference:
         _, shaping, cs = additive_instance(38, n_nodes=6, n_cascades=60)
         result = hn.infer_additive(cs, hn.AdditiveConfig(shaping=shaping, max_iters=1))
         assert not result.converged
+        assert "iteration_cap" in result.status
+        assert set(result.status) <= {"kkt_ok", "iteration_cap"}
+        assert result.iterations == 1 and np.all(result.steps <= 1)
 
-    def test_trace_is_nonincreasing(self):
+    def test_line_search_stall_is_not_converged(self, monkeypatch):
+        # a step floor above the first trial step ends every line search
+        # before it tries a point: each column that starts off its KKT bound
+        # stops there, stalled
         _, shaping, cs = additive_instance(39, n_nodes=6, n_cascades=40)
+        monkeypatch.setattr(additive, "_MIN_STEP", 2.0)
         result = hn.infer_additive(cs, hn.AdditiveConfig(shaping=shaping))
-        diffs = np.diff(result.objective_trace)
-        assert np.all(diffs <= 1e-9 * np.maximum(np.abs(result.objective_trace[:-1]), 1.0))
+        assert not result.converged
+        assert "stalled" in result.status
+        assert set(result.status) <= {"kkt_ok", "stalled"}
+        assert result.iterations == 0
+
+    @pytest.mark.parametrize("variant", hn.SHAPING_VARIANTS)
+    def test_objectives_sum_to_the_set_nll(self, variant):
+        for seed in range(3):
+            _, shaping, cs = additive_instance(seed + 70, n_nodes=7, n_cascades=40,
+                                               variant=variant)
+            result = hn.infer_additive(cs, hn.AdditiveConfig(shaping=shaping))
+            assert result.objectives.shape == result.steps.shape == (7,)
+            nll = -hn.additive_set_loglik(result.network, shaping, cs)
+            assert math.isclose(result.objectives.sum(), nll, rel_tol=1e-12)
 
     def test_empty_cascade_set_rejected(self):
         with pytest.raises(ValueError, match="cascade"):
@@ -548,8 +569,21 @@ class TestInference:
         init = np.full((4, 4), 0.2)
         np.fill_diagonal(init, 0.0)
         init[1, 2] = bad
-        with pytest.raises(ValueError, match="init must be finite"):
+        with pytest.raises(ValueError, match="edge parameters must be finite"):
             hn.infer_additive(cs, hn.AdditiveConfig(shaping=shaping), init=init)
+
+    def test_init_must_be_a_valid_additive_network(self):
+        _, shaping, cs = additive_instance(40, n_nodes=4, n_cascades=10)
+        cfg = hn.AdditiveConfig(shaping=shaping)
+        init = np.full((4, 4), 0.2)
+        with pytest.raises(ValueError, match="diagonal"):
+            hn.infer_additive(cs, cfg, init=init)
+        np.fill_diagonal(init, 0.0)
+        init[1, 2] = -0.1
+        with pytest.raises(ValueError, match="nonnegative"):
+            hn.infer_additive(cs, cfg, init=init)
+        with pytest.raises(ValueError, match="N x N"):
+            hn.infer_additive(cs, cfg, init=np.zeros((3, 3)))
 
     def test_unexplainable_data_rejected(self):
         # both infections are closer than the power kernel's floor allows

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -109,9 +110,14 @@ class TestInferEvaluate:
         hat = hn.read_network(str(out))
         assert hat.kind == hn.ADDITIVE
         lines = trace.read_text().splitlines()
-        assert lines[1] == "iteration,objective"
-        values = [float(ln.split(",")[1]) for ln in lines[2:]]
-        assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+        assert lines[1] == "column,status,steps,objective"
+        rows = [ln.split(",") for ln in lines[2:]]
+        assert [int(r[0]) for r in rows] == list(range(hat.num_nodes))
+        assert all(r[1] == "kkt_ok" and int(r[2]) >= 0 for r in rows)
+        total = sum(float(r[3]) for r in rows)
+        nll = -hn.additive_set_loglik(hat, hn.ShapingFunction(hn.EXPONENTIAL),
+                                      hn.read_cascades(str(casc)))
+        assert math.isclose(total, nll, rel_tol=1e-12)
 
     def test_multiplicative_inference_with_lambda(self, runner, tmp_path):
         true_net, casc = self._pipeline(

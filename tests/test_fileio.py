@@ -64,6 +64,33 @@ class TestNetworkFormat:
         with pytest.raises(ValueError, match="universe"):
             hn.read_network(str(path))
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1 nan\n", "bad.txt:4: edge parameters must be finite"),
+            ("0 1 inf\n", "bad.txt:4: edge parameters must be finite"),
+            ("0 1 -0.5\n", "bad.txt:4: additive rates must be nonnegative"),
+        ],
+    )
+    def test_rejects_bad_value_with_location(self, tmp_path, body, message):
+        # the comment and the blank line count toward the line number
+        path = tmp_path / "bad.txt"
+        path.write_text("netinf-network v1 additive 3\n# seed 1\n\n" + body)
+        with pytest.raises(ValueError, match=message):
+            hn.read_network(str(path))
+
+    def test_negative_multiplicative_influence_is_read(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("netinf-network v1 multiplicative 2\n0 1 -0.5\n")
+        assert hn.read_network(str(path)).params[0, 1] == -0.5
+
+    @pytest.mark.parametrize("count", ["-3", "0", "two"])
+    def test_rejects_bad_node_count_with_path(self, tmp_path, count):
+        path = tmp_path / "count.txt"
+        path.write_text(f"netinf-network v1 additive {count}\n")
+        with pytest.raises(ValueError, match="count.txt: bad node count"):
+            hn.read_network(str(path))
+
     def test_metadata_comments_are_skipped(self, tmp_path):
         path = tmp_path / "meta.txt"
         path.write_text("netinf-network v1 additive 2\n# seed 7\n# note hello\n0 1 0.25\n")
@@ -132,6 +159,12 @@ class TestCascadeFormat:
         path = tmp_path / "bad2.txt"
         path.write_text("netinf-cascades v1 3 2\n0:0.5,1:1.0\n")
         with pytest.raises(ValueError, match="bad2.txt:2"):
+            hn.read_cascades(str(path))
+
+    def test_location_counts_comment_and_blank_lines(self, tmp_path):
+        path = tmp_path / "bad4.txt"
+        path.write_text("netinf-cascades v1 3 2\n# seed 1\n0:0,1:1.0\n\n0:0.5,1:1.0\n")
+        with pytest.raises(ValueError, match="bad4.txt:5: the source"):
             hn.read_cascades(str(path))
 
     def test_rejects_node_outside_universe(self, tmp_path):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
@@ -12,7 +14,7 @@ import hazardnet as hn
 import hazardnet.multiplicative as multiplicative
 from conftest import multiplicative_instance
 from hazardnet.multiplicative import _column, _exposure, _nll_gradient, _solve_column_mult
-from hazardnet.optim import PackedCascades
+from hazardnet.optim import PackedCascades, pseudo_gradient
 
 CONST = hn.Baseline(hn.CONSTANT, 0.0)
 
@@ -470,15 +472,29 @@ class TestInference:
         a = hn.infer_multiplicative(cs, cfg)
         b = hn.infer_multiplicative(cs, cfg)
         np.testing.assert_array_equal(a.network.params, b.network.params)
-        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+        np.testing.assert_array_equal(a.objectives, b.objectives)
+        np.testing.assert_array_equal(a.steps, b.steps)
+        assert a.status == b.status
+
+    def test_empty_cascade_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one cascade"):
+            hn.infer_multiplicative(hn.CascadeSet(2, 1.0, ()), hn.MultiplicativeConfig(CONST))
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_init_rejected(self, bad):
         _, base, _, cs = multiplicative_instance(90, n_nodes=4, n_cascades=10)
         init = np.zeros((4, 4))
         init[2, 1] = bad
-        with pytest.raises(ValueError, match="init must be finite"):
+        with pytest.raises(ValueError, match="edge parameters must be finite"):
             hn.infer_multiplicative(cs, hn.MultiplicativeConfig(baseline=base), init=init)
+
+    def test_init_must_be_a_valid_network(self):
+        _, base, _, cs = multiplicative_instance(90, n_nodes=4, n_cascades=10)
+        cfg = hn.MultiplicativeConfig(baseline=base)
+        with pytest.raises(ValueError, match="diagonal"):
+            hn.infer_multiplicative(cs, cfg, init=np.eye(4))
+        with pytest.raises(ValueError, match="N x N"):
+            hn.infer_multiplicative(cs, cfg, init=np.zeros((3, 3)))
 
     def test_line_search_stall_is_not_converged(self, monkeypatch):
         # every trial move changes the hazard by inf, so each working set's
@@ -493,8 +509,32 @@ class TestInference:
         cfg = hn.MultiplicativeConfig(baseline=base, l1_penalty=0.0)
         result = hn.infer_multiplicative(cs, cfg)
         assert not result.converged
+        assert "stalled" in result.status
+        assert set(result.status) <= {"kkt_ok", "stalled"}
         assert result.iterations == 0
         assert np.all(result.network.params == 0.0)
+
+    def test_iteration_cap_is_not_converged(self):
+        _, base, _, cs = multiplicative_instance(88, n_nodes=6, n_cascades=60)
+        cfg = hn.MultiplicativeConfig(baseline=base, l1_penalty=0.1, max_iters=1)
+        result = hn.infer_multiplicative(cs, cfg)
+        assert not result.converged
+        assert "iteration_cap" in result.status
+        assert set(result.status) <= {"kkt_ok", "iteration_cap"}
+        assert result.iterations == 1 and np.all(result.steps <= 1)
+
+    @pytest.mark.parametrize("variant", hn.BASELINE_VARIANTS)
+    @pytest.mark.parametrize("penalty", [0.0, 0.3])
+    def test_objectives_sum_to_the_penalized_set_nll(self, variant, penalty):
+        for seed in range(3):
+            _, base, mask, cs = multiplicative_instance(seed + 70, n_nodes=7, n_cascades=40,
+                                                        variant=variant)
+            cfg = hn.MultiplicativeConfig(baseline=base, l1_penalty=penalty)
+            result = hn.infer_multiplicative(cs, cfg)
+            assert result.objectives.shape == result.steps.shape == (7,)
+            nll = -hn.multiplicative_set_loglik(result.network, base, mask, cs)
+            expected = nll + penalty * np.abs(result.network.params[mask.matrix]).sum()
+            assert math.isclose(result.objectives.sum(), expected, rel_tol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_penalty_must_be_finite_and_nonnegative(self, bad):
@@ -509,12 +549,6 @@ class TestInference:
         )
         result = hn.infer_multiplicative(cs, cfg)
         assert hn.multiplicative_kkt_violation(result.network, base, mask, cs, penalty) < 1e-4
-
-    def test_trace_is_nonincreasing(self):
-        _, base, _, cs = multiplicative_instance(87)
-        result = hn.infer_multiplicative(cs, hn.MultiplicativeConfig(baseline=base))
-        diffs = np.diff(result.objective_trace)
-        assert np.all(diffs <= 1e-9 * np.maximum(np.abs(result.objective_trace[:-1]), 1.0))
 
     def test_objective_convex_along_segments(self):
         _, base, mask, cs = multiplicative_instance(89, n_nodes=5)
@@ -550,12 +584,12 @@ class TestColumnSolver:
     def test_objective_at_most_proximal_gradient(self):
         for free, count_col, const, column, penalty, cfg in self.problems():
             x0 = np.zeros(count_col.size)
-            x, trace, converged, _ = _solve_column_mult(
+            x, objective, _, status = _solve_column_mult(
                 free, count_col, const, column, penalty, cfg, x0
             )
-            assert converged
+            assert status == "kkt_ok"
             newton = column_objective(count_col, const, column, penalty, x)
-            assert math.isclose(newton, trace[-1], rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(newton, objective, rel_tol=1e-12, abs_tol=1e-12)
             oracle = column_objective(
                 count_col, const, column, penalty,
                 proximal_gradient_column(free, count_col, const, column, penalty, cfg, x0),
@@ -613,16 +647,68 @@ class TestColumnSolver:
                                       max_iters=50000)
         for free, count_col, const, column in column_problems(cs, base):
             x0 = np.zeros(count_col.size)
-            x, _, _, iterations = _solve_column_mult(
+            x, _, steps, _ = _solve_column_mult(
                 free, count_col, const, column, penalty, cfg, x0
             )
-            assert iterations <= 100
+            assert steps <= 100
             oracle = column_objective(
                 count_col, const, column, penalty,
                 proximal_gradient_column(free, count_col, const, column, penalty, cfg, x0),
             )
             newton = column_objective(count_col, const, column, penalty, x)
             assert newton <= oracle + 1e-9 * max(abs(oracle), 1.0)
+
+
+def signed_residual(x, grad, penalty):
+    """The former multiplicative KKT residual, an oracle for the shared rule."""
+    return np.where(
+        x != 0.0, np.abs(grad + penalty * np.sign(x)), np.maximum(np.abs(grad) - penalty, 0.0)
+    )
+
+
+def nonnegative_residual(x, grad):
+    """The former additive KKT residual, an oracle for the shared rule."""
+    return np.where(x > 0.0, np.abs(grad), np.maximum(-grad, 0.0))
+
+
+@st.composite
+def kkt_points(draw, signed):
+    """(x, grad, penalty) with many zero entries and many |grad| = penalty
+    ties; x >= 0 and penalty = 0 unless ``signed``."""
+    penalty = draw(st.sampled_from([0.0, 0.5, 3.0]) | st.floats(0.0, 10.0)) if signed else 0.0
+    size = draw(st.integers(1, 12))
+    low = -5.0 if signed else 0.0
+    x = draw(st.lists(st.just(0.0) | st.floats(low, 5.0), min_size=size, max_size=size))
+    ties = st.sampled_from([penalty, -penalty, 0.0])
+    grad = draw(st.lists(ties | st.floats(-20.0, 20.0), min_size=size, max_size=size))
+    return np.array(x), np.array(grad), penalty
+
+
+class TestPseudoGradient:
+    """One pseudo-gradient states both models' KKT rule: its magnitude
+    equals each former residual formula exactly."""
+
+    @given(kkt_points(signed=True))
+    @settings(max_examples=300, deadline=None)
+    def test_signed_magnitude_is_the_l1_residual(self, point):
+        x, grad, penalty = point
+        pg, orthant, entering = pseudo_gradient(x, grad, penalty, signed=True)
+        residual = signed_residual(x, grad, penalty)
+        np.testing.assert_array_equal(np.abs(pg), residual)
+        zero = x == 0.0
+        np.testing.assert_array_equal(entering, zero & (residual > 0.0))
+        np.testing.assert_array_equal(orthant[~zero], np.sign(x[~zero]))
+        assert np.all(orthant[entering] * grad[entering] < 0.0)
+
+    @given(kkt_points(signed=False))
+    @settings(max_examples=300, deadline=None)
+    def test_nonnegative_magnitude_is_the_projected_residual(self, point):
+        x, grad, _ = point
+        pg, orthant, entering = pseudo_gradient(x, grad, 0.0, signed=False)
+        residual = nonnegative_residual(x, grad)
+        np.testing.assert_array_equal(np.abs(pg), residual)
+        assert np.all(orthant == 1.0)
+        np.testing.assert_array_equal(entering, (x == 0.0) & (grad < 0.0))
 
 
 class TestSignedEdges:

@@ -151,3 +151,64 @@ class TestNetwork:
         net = hn.Network(np.zeros((2, 2)), hn.ADDITIVE)
         with pytest.raises(ValueError):
             net.params[0, 1] = 1.0
+
+
+
+EXP = hn.ShapingFunction(hn.EXPONENTIAL)
+CONST = hn.Baseline(hn.CONSTANT, 0.0)
+SET_FUNCTIONS = [
+    hn.additive_set_loglik,
+    hn.additive_gradient,
+    hn.additive_kkt_violation,
+    hn.multiplicative_set_loglik,
+    hn.multiplicative_gradient,
+    hn.multiplicative_kkt_violation,
+    hn.predict_distributions,
+]
+
+
+class TestCheckUniverse:
+    """Every function of a network and a cascade set rejects a network over
+    another node universe, naming both sizes."""
+
+    @staticmethod
+    def call(fn, num_nodes):
+        """``fn`` at a network of ``num_nodes`` nodes, every rate 0.3, and
+        the 3-node set of one cascade, 0 -> 1 at 0.5 in a window of 2."""
+        signed = fn.__name__.startswith("multiplicative")
+        params = np.full((num_nodes, num_nodes), 0.3)
+        np.fill_diagonal(params, 0.0)
+        net = hn.Network(params, hn.MULTIPLICATIVE if signed else hn.ADDITIVE)
+        cs = hn.CascadeSet(3, 2.0, (hn.Cascade.from_events([(0, 0.0), (1, 0.5)]),))
+        if not signed:
+            return fn(net, EXP, cs)
+        mask = hn.SupportMask(~np.eye(num_nodes, dtype=bool))
+        return fn(net, CONST, mask, cs, *([0.1] if "kkt" in fn.__name__ else []))
+
+    @pytest.mark.parametrize("fn", SET_FUNCTIONS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("num_nodes", [2, 4])
+    def test_rejects_another_universe(self, fn, num_nodes):
+        with pytest.raises(ValueError, match=f"{num_nodes} nodes .* has 3"):
+            self.call(fn, num_nodes)
+
+    @pytest.mark.parametrize("fn", SET_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_accepts_the_same_universe(self, fn):
+        self.call(fn, 3)
+
+
+class TestInferenceResult:
+    def test_reports_per_column_and_is_frozen(self):
+        net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
+        result = hn.InferenceResult(net, [1.5, 0.0, 2.0], [4, 0, 7],
+                                    ["kkt_ok", "kkt_ok", "iteration_cap"])
+        assert not result.converged
+        assert result.iterations == 7 and isinstance(result.iterations, int)
+        assert result.status == ("kkt_ok", "kkt_ok", "iteration_cap")
+        assert result.objectives.dtype == np.float64 and result.steps.dtype == np.int64
+        with pytest.raises(ValueError):
+            result.objectives[0] = 0.0
+        with pytest.raises(ValueError):
+            result.steps[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.converged = True
+        assert hn.InferenceResult(net, [0.0] * 3, [0] * 3, ["kkt_ok"] * 3).converged
