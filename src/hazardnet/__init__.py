@@ -33,14 +33,10 @@ from .evaluate import (
 )
 from .fileio import read_cascades, read_network, write_cascades, write_network
 from .hazard import (
-    additive_cdf,
-    additive_cumulative_hazard,
-    additive_density,
-    additive_hazard,
-    multiplicative_cdf,
-    multiplicative_cumulative_hazard,
-    multiplicative_density,
-    multiplicative_hazard,
+    infection_cdf,
+    infection_cumulative_hazard,
+    infection_density,
+    infection_hazard,
 )
 from .multiplicative import (
     MultiplicativeConfig,
@@ -116,11 +112,7 @@ __all__ = [
     "SignedEdge",
     "SupportMask",
     "additive_cascade_loglik",
-    "additive_cdf",
-    "additive_cumulative_hazard",
-    "additive_density",
     "additive_gradient",
-    "additive_hazard",
     "additive_kkt_violation",
     "additive_set_loglik",
     "assign_parameters",
@@ -133,16 +125,16 @@ __all__ = [
     "extract_signed_edges",
     "generate_kronecker",
     "independent_cascade_loglik",
+    "infection_cdf",
+    "infection_cumulative_hazard",
+    "infection_density",
+    "infection_hazard",
     "infection_time_from_uniform",
     "infer_additive",
     "infer_multiplicative",
     "ks_statistic",
     "multiplicative_cascade_loglik",
-    "multiplicative_cdf",
-    "multiplicative_cumulative_hazard",
-    "multiplicative_density",
     "multiplicative_gradient",
-    "multiplicative_hazard",
     "multiplicative_kkt_violation",
     "multiplicative_set_loglik",
     "parameter_mse",

@@ -32,7 +32,7 @@ from .types import (
     CascadeSet,
     InferenceResult,
     Network,
-    check_kind,
+    check_model,
     check_universe,
     check_window,
 )
@@ -82,7 +82,7 @@ def additive_cascade_loglik(
     own infection time, i.e. no parameter value can explain the event.
     Raises ValueError when an infection lies beyond ``window``.
     """
-    check_kind(net, ADDITIVE)
+    check_model(net, shaping, ADDITIVE)
     check_window(cascade, window)
     A = net.params
     nodes, times = cascade.nodes, cascade.times
@@ -103,6 +103,7 @@ def additive_cascade_loglik(
 
 def additive_set_loglik(net: Network, shaping: ShapingFunction, cs: CascadeSet) -> float:
     """Sum of per-cascade log-likelihoods over the whole set."""
+    check_model(net, shaping, ADDITIVE)
     check_universe(net, cs)
     return float(sum(additive_cascade_loglik(net, shaping, c, cs.window) for c in cs))
 
@@ -117,7 +118,7 @@ def independent_cascade_loglik(
     independent cascade family defines it; uninfected nodes contribute the
     product of their pairwise survivals past the window.
     """
-    check_kind(net, ADDITIVE)
+    check_model(net, shaping, ADDITIVE)
     check_window(cascade, window)
     A = net.params
     nodes, times = cascade.nodes, cascade.times
@@ -152,7 +153,7 @@ def additive_gradient(net: Network, shaping: ShapingFunction, cs: CascadeSet) ->
     for the column's kernel matrix K, the negated column-NLL gradient the
     solver uses. Diagonal entries stay zero.
     """
-    check_kind(net, ADDITIVE)
+    check_model(net, shaping, ADDITIVE)
     check_universe(net, cs)
     packed = PackedCascades(cs)
     window = _window_exposure(packed, shaping)

@@ -1,8 +1,10 @@
 """Command-line pipeline: generate -> simulate -> infer -> evaluate -> predict.
 
 Every command exits 0 on success, 1 on runtime errors (bad files, numeric
-failures) and 2 on usage errors. All randomness flows from the --seed flag,
-which is also recorded as a metadata comment in the output files.
+failures) and 2 on usage errors. generate, simulate and predict draw all
+their randomness from --seed, which is also recorded as a metadata comment
+in their output files; infer is deterministic and only records its --seed
+there, and evaluate takes none.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def infer(model, cascades_path, shaping, delta, baseline, a0, epsilon, l1_penalt
 @main.command()
 @click.option("--true-network", type=click.Path(dir_okay=False), required=True)
 @click.option("--inferred-network", type=click.Path(dir_okay=False), required=True)
-@click.option("--threshold", type=float, default=1e-4, show_default=True)
+@click.option("--threshold", type=click.FloatRange(min=0.0), default=1e-4, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 @_runtime_errors
 def evaluate(true_network, inferred_network, threshold, out) -> None:

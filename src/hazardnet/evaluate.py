@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .shaping import Baseline, ShapingFunction
+from .shaping import Model
 from .types import MULTIPLICATIVE, CascadeSet, Network, check_universe
 from .simulate import simulate_set
 
@@ -20,15 +20,23 @@ def _check_same_shape(true_net: Network, inferred_net: Network) -> None:
         raise ValueError("networks must cover the same node universe")
 
 
+def _edge_sets(
+    true_net: Network, inferred_net: Network, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each network's edge mask, |parameter| > threshold."""
+    _check_same_shape(true_net, inferred_net)
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    return np.abs(true_net.params) > threshold, np.abs(inferred_net.params) > threshold
+
+
 def edge_accuracy(true_net: Network, inferred_net: Network, threshold: float) -> float:
     """1 minus the normalized symmetric difference of the two edge sets.
 
-    Presence means |parameter| > threshold. Two empty networks count as a
-    perfect match.
+    Presence means |parameter| > threshold, for a nonnegative threshold. Two
+    empty networks count as a perfect match.
     """
-    _check_same_shape(true_net, inferred_net)
-    a = np.abs(true_net.params) > threshold
-    b = np.abs(inferred_net.params) > threshold
+    a, b = _edge_sets(true_net, inferred_net, threshold)
     denom = int(a.sum()) + int(b.sum())
     if denom == 0:
         return 1.0
@@ -66,19 +74,16 @@ class EvalReport:
 def compare_networks(true_net: Network, inferred_net: Network, threshold: float) -> EvalReport:
     """Bundle accuracy, MSE, edge counts and (for multiplicative pairs) the
     fraction of shared edges whose influence signs agree."""
-    acc = edge_accuracy(true_net, inferred_net, threshold)
-    mse = parameter_mse(true_net, inferred_net)
-    sign_agreement = None
-    if true_net.kind == MULTIPLICATIVE and inferred_net.kind == MULTIPLICATIVE:
-        shared = (np.abs(true_net.params) > threshold) & (np.abs(inferred_net.params) > threshold)
-        if shared.any():
-            agree = np.sign(true_net.params[shared]) == np.sign(inferred_net.params[shared])
-            sign_agreement = float(agree.mean())
+    a, b = _edge_sets(true_net, inferred_net, threshold)
+    shared, sign_agreement = a & b, None
+    if true_net.kind == MULTIPLICATIVE and inferred_net.kind == MULTIPLICATIVE and shared.any():
+        agree = np.sign(true_net.params[shared]) == np.sign(inferred_net.params[shared])
+        sign_agreement = float(agree.mean())
     return EvalReport(
-        edge_accuracy=acc,
-        mse=mse,
-        true_edge_count=int((np.abs(true_net.params) > threshold).sum()),
-        inferred_edge_count=int((np.abs(inferred_net.params) > threshold).sum()),
+        edge_accuracy=edge_accuracy(true_net, inferred_net, threshold),
+        mse=parameter_mse(true_net, inferred_net),
+        true_edge_count=int(a.sum()),
+        inferred_edge_count=int(b.sum()),
         sign_agreement=sign_agreement,
     )
 
@@ -170,7 +175,7 @@ def summarize_cascades(cs: CascadeSet, reference: CascadeSet | None = None) -> D
 
 def predict_distributions(
     trained: Network,
-    model: ShapingFunction | Baseline,
+    model: Model,
     test: CascadeSet,
     rng_seed: int = 0,
 ) -> tuple[CascadeSet, tuple[DistributionSummary, DistributionSummary]]:

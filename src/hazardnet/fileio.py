@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .types import ADDITIVE, Cascade, CascadeSet, Network, NETWORK_KINDS
+from .types import ADDITIVE, Cascade, CascadeSet, Network, NETWORK_KINDS, check_fits
 
 NETWORK_MAGIC = "netinf-network"
 CASCADE_MAGIC = "netinf-cascades"
@@ -114,10 +114,10 @@ def read_cascades(path: str) -> CascadeSet:
     if len(header) != 4 or header[0] != CASCADE_MAGIC or header[1] != FORMAT_VERSION:
         raise ValueError(f"{path}: not a {CASCADE_MAGIC} {FORMAT_VERSION} file")
     try:
-        num_nodes = int(header[2])
-        window = float(header[3])
+        universe = CascadeSet(int(header[2]), float(header[3]), ())
     except ValueError as e:
-        raise ValueError(f"{path}: bad header {' '.join(header)!r}") from e
+        raise ValueError(f"{path}: bad header {' '.join(header)!r}: {e}") from e
+    num_nodes, window = universe.num_nodes, universe.window
     cascades = []
     for lineno, line in body:
         nodes, times = [], []
@@ -132,12 +132,10 @@ def read_cascades(path: str) -> CascadeSet:
                 raise ValueError(f"{path}:{lineno}: bad event {token!r}") from e
         try:
             cascades.append(Cascade(np.array(nodes), np.array(times)))
+            check_fits(cascades[-1], num_nodes, window)
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from e
-    try:
-        return CascadeSet(num_nodes, window, tuple(cascades))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
+    return CascadeSet(num_nodes, window, tuple(cascades))
 
 
 def write_csv(

@@ -41,6 +41,7 @@ from .types import (
     InferenceResult,
     Network,
     check_kind,
+    check_model,
     check_universe,
     check_window,
 )
@@ -145,7 +146,7 @@ def multiplicative_cascade_loglik(
     (e.g. before the inverse baseline's ``epsilon``). Raises ValueError when
     an infection lies beyond ``window``.
     """
-    check_kind(net, MULTIPLICATIVE)
+    check_model(net, baseline, MULTIPLICATIVE)
     check_window(cascade, window)
     A = _masked_params(net, mask)
     nodes, times = cascade.nodes, cascade.times
@@ -171,6 +172,7 @@ def multiplicative_set_loglik(
 
     Only parameters inside ``mask`` enter; -inf if any cascade is -inf.
     """
+    check_model(net, baseline, MULTIPLICATIVE)
     check_universe(net, cs)
     return float(
         sum(multiplicative_cascade_loglik(net, baseline, mask, c, cs.window) for c in cs)
@@ -187,7 +189,7 @@ def multiplicative_gradient(
     Each column is the negated column-NLL gradient the solver uses, gathered
     from the packed cascade set.
     """
-    check_kind(net, MULTIPLICATIVE)
+    check_model(net, baseline, MULTIPLICATIVE)
     check_universe(net, cs)
     A = _masked_params(net, mask)
     packed = PackedCascades(cs)

@@ -151,3 +151,8 @@ class Baseline:
             else:
                 out = np.maximum(lo, self.epsilon) * np.exp(mass / self.scale)
         return np.where(mass <= 0.0, lo, out)
+
+
+# what drives a network's hazards: a kernel for an additive network, a
+# baseline for a multiplicative one
+Model = ShapingFunction | Baseline

@@ -35,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .shaping import Baseline, POWER, RAYLEIGH, ShapingFunction
-from .types import ADDITIVE, MULTIPLICATIVE, Cascade, CascadeSet, Network, check_node
+from .shaping import Baseline, Model, POWER, RAYLEIGH, ShapingFunction
+from .types import ADDITIVE, MULTIPLICATIVE, Cascade, CascadeSet, Network, check_model, check_node
 
 KRONECKER_SEEDS = {
     "core-periphery": np.array([[0.9, 0.5], [0.5, 0.3]]),
@@ -345,7 +345,7 @@ class _BaselineExposure:
         return self.baseline.invert_integral(self.since[idx], mass)
 
 
-def _running_hazard(model: ShapingFunction | Baseline, targets: np.ndarray, window: float):
+def _running_hazard(model: Model, targets: np.ndarray, window: float):
     """Fresh hazard state, before any parent, for nodes with these targets."""
     if isinstance(model, Baseline):
         return _BaselineExposure(model, targets)
@@ -361,17 +361,9 @@ def _check_window(window: float) -> None:
         raise ValueError("window must be a positive finite length")
 
 
-def _check_pairing(net: Network, model: ShapingFunction | Baseline) -> None:
-    if isinstance(model, ShapingFunction):
-        if net.kind != ADDITIVE:
-            raise ValueError("shaping functions pair with additive networks")
-    elif net.kind != MULTIPLICATIVE:
-        raise ValueError("baselines pair with multiplicative networks")
-
-
 def infection_time_from_uniform(
     net: Network,
-    model: ShapingFunction | Baseline,
+    model: Model,
     history: Cascade,
     node: int,
     u: float,
@@ -392,7 +384,7 @@ def infection_time_from_uniform(
     if np.any(history.nodes == node):
         raise ValueError("node is already part of the history")
     _check_window(t_max)
-    _check_pairing(net, model)
+    check_model(net, model)
     state = _running_hazard(model, np.array([-math.log1p(-u)]), t_max)
     only = np.zeros(1, dtype=np.int64)
     t = float(state.times(only)[0])
@@ -412,7 +404,7 @@ def _draw_targets(u: np.ndarray) -> np.ndarray:
 
 def _sample_rows(
     net: Network,
-    model: ShapingFunction | Baseline,
+    model: Model,
     sources: np.ndarray,
     uniforms: np.ndarray,
     window: float,
@@ -477,7 +469,7 @@ def _sample_rows(
 
 def simulate_cascade(
     net: Network,
-    model: ShapingFunction | Baseline,
+    model: Model,
     source: int,
     window: float,
     rng_seed: int = 0,
@@ -494,7 +486,7 @@ def simulate_cascade(
     N = net.num_nodes
     source = check_node(source, N, "source")
     _check_window(window)
-    _check_pairing(net, model)
+    check_model(net, model)
     if uniforms is None:
         uniforms = np.random.default_rng(rng_seed).random(N)
     else:
@@ -506,7 +498,7 @@ def simulate_cascade(
 
 def simulate_set(
     net: Network,
-    model: ShapingFunction | Baseline,
+    model: Model,
     num_cascades: int,
     window: float,
     sources: Sequence[int] | None = None,
@@ -524,7 +516,7 @@ def simulate_set(
     if num_cascades < 0:
         raise ValueError("num_cascades must be nonnegative")
     _check_window(window)
-    _check_pairing(net, model)
+    check_model(net, model)
     N = net.num_nodes
     if sources is not None:
         if len(sources) != num_cascades:

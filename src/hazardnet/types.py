@@ -12,6 +12,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .shaping import Model, ShapingFunction
+
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 NETWORK_KINDS = (ADDITIVE, MULTIPLICATIVE)
@@ -136,10 +138,7 @@ class CascadeSet:
             raise ValueError("observation window must be a positive finite length")
         cascades = tuple(self.cascades)
         for c in cascades:
-            if int(c.nodes.max()) >= self.num_nodes:
-                raise ValueError("cascade references a node id outside the universe")
-            if float(c.times[-1]) > self.window:
-                raise ValueError("infection time beyond the observation window")
+            check_fits(c, self.num_nodes, self.window)
         object.__setattr__(self, "cascades", cascades)
         object.__setattr__(self, "window", float(self.window))
         object.__setattr__(self, "num_nodes", int(self.num_nodes))
@@ -205,6 +204,19 @@ def check_kind(net: Network, kind: str) -> None:
         raise ValueError(f"expected {article} {kind} network, got {net.kind}")
 
 
+def check_model(net: Network, model: Model, kind: str | None = None) -> None:
+    """Reject a model that does not drive ``net``: a shaping function pairs
+    with an additive network, a baseline with a multiplicative one. A caller
+    that serves one model only names its ``kind``."""
+    if isinstance(model, ShapingFunction):
+        if net.kind != ADDITIVE:
+            raise ValueError("shaping functions pair with additive networks")
+    elif net.kind != MULTIPLICATIVE:
+        raise ValueError("baselines pair with multiplicative networks")
+    if kind is not None:
+        check_kind(net, kind)
+
+
 def check_universe(net: Network, cs: CascadeSet) -> None:
     """Reject a network and a cascade set over different node universes."""
     if net.num_nodes != cs.num_nodes:
@@ -230,7 +242,14 @@ def check_node(node, num_nodes: int, role: str = "node", where: str = "") -> int
 
 def check_window(cascade: Cascade, window: float) -> None:
     if cascade.times[-1] > window:
-        raise ValueError("cascade has infections beyond the observation window")
+        raise ValueError("infection time beyond the observation window")
+
+
+def check_fits(cascade: Cascade, num_nodes: int, window: float) -> None:
+    """Reject a cascade outside a set's node universe or observation window."""
+    if int(cascade.nodes.max()) >= num_nodes:
+        raise ValueError("cascade references a node id outside the universe")
+    check_window(cascade, window)
 
 
 @dataclass(frozen=True)

@@ -202,13 +202,13 @@ class TestCriterion04OracleConsistency:
                 net = _strictly_positive_net(5, int(rng.integers(1 << 30)))
                 t = float(rng.uniform(0.3, 3.5))
                 integral, _ = quad(
-                    lambda s: hn.additive_hazard(net, shaping, history, 1, s),
+                    lambda s: hn.infection_hazard(net, shaping, history, 1, s),
                     0.0,
                     t,
                     points=[p for tp in history.times for p in (tp, tp + shaping.delta) if 0 < p < t],
                     limit=300,
                 )
-                closed = hn.additive_cdf(net, shaping, history, 1, t)
+                closed = hn.infection_cdf(net, shaping, history, 1, t)
                 oracle = 1 - math.exp(-integral)
                 assert relative_gap(closed, oracle) < 1e-6
                 worst = max(worst, relative_gap(closed, oracle))
@@ -217,13 +217,13 @@ class TestCriterion04OracleConsistency:
                 net = random_multiplicative_network(rng, 5)
                 t = float(rng.uniform(0.3, 3.0))
                 integral, _ = quad(
-                    lambda s: hn.multiplicative_hazard(net, base, history, 1, s),
+                    lambda s: hn.infection_hazard(net, base, history, 1, s),
                     0.0,
                     t,
                     points=[p for p in (base.epsilon, 0.4, 1.1) if 0 < p < t],
                     limit=300,
                 )
-                closed = hn.multiplicative_cdf(net, base, history, 1, t)
+                closed = hn.infection_cdf(net, base, history, 1, t)
                 oracle = 1 - math.exp(-integral)
                 assert relative_gap(closed, oracle) < 1e-6
                 worst = max(worst, relative_gap(closed, oracle))
@@ -258,7 +258,7 @@ class TestCriterion05SamplerExactness:
             params = np.zeros((3, 3))
             params[0, 2], params[1, 2] = 0.9, 0.6
             net = hn.Network(params, hn.ADDITIVE)
-            cdf = lambda t: hn.additive_cdf(net, shaping, history, 2, t)
+            cdf = lambda t: hn.infection_cdf(net, shaping, history, 2, t)
             pvalue, n = self._run_ks(net, shaping, history, 2, windows[variant], 501, cdf)
             assert pvalue > 0.01, f"additive {variant}: p={pvalue}"
             details.append(f"add-{variant} p={pvalue:.2f}")
@@ -267,7 +267,7 @@ class TestCriterion05SamplerExactness:
             params = np.zeros((3, 3))
             params[0, 2], params[1, 2] = 0.5, -0.8
             net = hn.Network(params, hn.MULTIPLICATIVE)
-            cdf = lambda t: hn.multiplicative_cdf(net, base, history, 2, t)
+            cdf = lambda t: hn.infection_cdf(net, base, history, 2, t)
             pvalue, n = self._run_ks(net, base, history, 2, windows[variant], 55, cdf)
             assert pvalue > 0.01, f"multiplicative {variant}: p={pvalue}"
             details.append(f"mult-{variant} p={pvalue:.2f}")

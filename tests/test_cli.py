@@ -207,6 +207,14 @@ class TestInferEvaluate:
                   "--out", tmp_path / "m.csv")
         assert res.exit_code == 1
 
+    def test_negative_threshold_is_a_usage_error(self, runner, tmp_path):
+        net, _ = self._pipeline(runner, tmp_path, "additive")
+        out = tmp_path / "metrics.csv"
+        res = run(runner, "evaluate", "--true-network", net, "--inferred-network", net,
+                  "--threshold", -1, "--out", out)
+        assert res.exit_code == 2
+        assert not out.exists()
+
     def test_row_order_is_fixed(self, runner, tmp_path):
         net, _ = self._pipeline(runner, tmp_path, "additive")
         out = tmp_path / "metrics.csv"

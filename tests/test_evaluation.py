@@ -100,6 +100,23 @@ class TestCompareNetworks:
         assert additive.sign_agreement is None
 
 
+    @pytest.mark.parametrize("fn", [hn.edge_accuracy, hn.compare_networks])
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
+    def test_rejects_negative_threshold(self, fn, threshold):
+        # below zero every entry, the diagonal too, would count as an edge
+        a = net_from_edges(3, [(0, 1)])
+        b = net_from_edges(3, [(1, 2)], hn.MULTIPLICATIVE)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            fn(a, b, threshold)
+
+    def test_zero_threshold_counts_nonzero_entries(self):
+        report = hn.compare_networks(
+            net_from_edges(3, [(0, 1)]), net_from_edges(3, [(0, 1), (1, 2)]), 0.0
+        )
+        assert (report.true_edge_count, report.inferred_edge_count) == (1, 2)
+        assert report.edge_accuracy == pytest.approx(1 - 1 / 3)
+
+
 class TestSplit:
     def make(self, count):
         cascades = tuple(

@@ -173,6 +173,26 @@ class TestCascadeFormat:
         with pytest.raises(ValueError, match="outside"):
             hn.read_cascades(str(path))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0:0,7:1.0", "bad.txt:4: cascade references a node id outside the universe"),
+            ("0:0,1:2.5", "bad.txt:4: infection time beyond the observation window"),
+        ],
+    )
+    def test_rejects_cascade_outside_the_set_with_location(self, tmp_path, line, message):
+        # the comment above the bad line counts toward its number
+        path = tmp_path / "bad.txt"
+        path.write_text(f"netinf-cascades v1 3 2\n0:0,1:1.0\n# seed 1\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            hn.read_cascades(str(path))
+
+    def test_rejects_bad_header_with_path(self, tmp_path):
+        path = tmp_path / "head.txt"
+        path.write_text("netinf-cascades v1 0 2\n")
+        with pytest.raises(ValueError, match="head.txt: bad header .*num_nodes must be positive"):
+            hn.read_cascades(str(path))
+
 
 class TestCsv:
     def test_fixed_column_order_and_metadata(self, tmp_path):

@@ -250,8 +250,8 @@ class TestCascadeLoglik:
         c = hn.Cascade.from_events([(0, 0.0), (2, 0.9)])
         window = 2.5
         want = (
-            math.log(hn.multiplicative_density(net, base, c, 2, 0.9))
-            - hn.multiplicative_cumulative_hazard(net, base, c, 1, window)
+            math.log(hn.infection_density(net, base, c, 2, 0.9))
+            - hn.infection_cumulative_hazard(net, base, c, 1, window)
         )
         got = hn.multiplicative_cascade_loglik(net, base, full_mask(3), c, window)
         assert got == pytest.approx(want, rel=1e-12)

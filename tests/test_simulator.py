@@ -316,9 +316,9 @@ class TestSingleNodeSampler:
         )
         infected = times[np.isfinite(times)]
         assert infected.size > 3500
-        total = hn.additive_cdf(net, shaping, history, 2, window)
+        total = hn.infection_cdf(net, shaping, history, 2, window)
         cdf = lambda t: np.array(
-            [hn.additive_cdf(net, shaping, history, 2, float(x)) / total for x in np.atleast_1d(t)]
+            [hn.infection_cdf(net, shaping, history, 2, float(x)) / total for x in np.atleast_1d(t)]
         )
         assert kstest(infected, cdf).pvalue > 0.01
 
@@ -341,10 +341,10 @@ class TestSingleNodeSampler:
         )
         infected = times[np.isfinite(times)]
         assert infected.size > 3000
-        total = hn.multiplicative_cdf(net, base, history, 2, window)
+        total = hn.infection_cdf(net, base, history, 2, window)
         cdf = lambda t: np.array(
             [
-                hn.multiplicative_cdf(net, base, history, 2, float(x)) / total
+                hn.infection_cdf(net, base, history, 2, float(x)) / total
                 for x in np.atleast_1d(t)
             ]
         )

@@ -196,6 +196,84 @@ class TestCheckUniverse:
         self.call(fn, 3)
 
 
+C01 = hn.Cascade.from_events([(0, 0.0), (1, 0.5)])
+CS01 = hn.CascadeSet(3, 2.0, (C01,))
+MASK3 = hn.SupportMask(~np.eye(3, dtype=bool))
+# each function of a network and a model, the model family it serves (None
+# for both), and a call on the 3-node cascade 0 -> 1 at 0.5, window 2
+MODEL_FUNCTIONS = {
+    fn.__name__: (family, call)
+    for fn, family, call in [
+        (hn.infection_hazard, None, lambda f, net, m: f(net, m, C01, 2, 1.0)),
+        (hn.infection_cumulative_hazard, None, lambda f, net, m: f(net, m, C01, 2, 1.0)),
+        (hn.infection_cdf, None, lambda f, net, m: f(net, m, C01, 2, 1.0)),
+        (hn.infection_density, None, lambda f, net, m: f(net, m, C01, 2, 1.0)),
+        (hn.infection_time_from_uniform, None, lambda f, net, m: f(net, m, C01, 2, 0.5, 2.0)),
+        (hn.simulate_cascade, None, lambda f, net, m: f(net, m, 0, 2.0)),
+        (hn.simulate_set, None, lambda f, net, m: f(net, m, 2, 2.0)),
+        (hn.predict_distributions, None, lambda f, net, m: f(net, m, CS01)),
+        (hn.additive_cascade_loglik, hn.ADDITIVE, lambda f, net, m: f(net, m, C01, 2.0)),
+        (hn.independent_cascade_loglik, hn.ADDITIVE, lambda f, net, m: f(net, m, C01, 2.0)),
+        (hn.additive_set_loglik, hn.ADDITIVE, lambda f, net, m: f(net, m, CS01)),
+        (hn.additive_gradient, hn.ADDITIVE, lambda f, net, m: f(net, m, CS01)),
+        (hn.additive_kkt_violation, hn.ADDITIVE, lambda f, net, m: f(net, m, CS01)),
+        (hn.multiplicative_cascade_loglik, hn.MULTIPLICATIVE,
+         lambda f, net, m: f(net, m, MASK3, C01, 2.0)),
+        (hn.multiplicative_set_loglik, hn.MULTIPLICATIVE,
+         lambda f, net, m: f(net, m, MASK3, CS01)),
+        (hn.multiplicative_gradient, hn.MULTIPLICATIVE,
+         lambda f, net, m: f(net, m, MASK3, CS01)),
+        (hn.multiplicative_kkt_violation, hn.MULTIPLICATIVE,
+         lambda f, net, m: f(net, m, MASK3, CS01, 0.1)),
+    ]
+}
+MODELS = {hn.ADDITIVE: EXP, hn.MULTIPLICATIVE: CONST}
+OTHER = {hn.ADDITIVE: hn.MULTIPLICATIVE, hn.MULTIPLICATIVE: hn.ADDITIVE}
+
+
+class TestCheckModel:
+    """Every function of a network and a model rejects a model of the other
+    family with one message that names the pairing; a function that serves
+    one family also rejects a consistent pair of the other."""
+
+    CASES = [(name, kind) for name, (family, _) in MODEL_FUNCTIONS.items()
+             for kind in ([family] if family else list(MODELS))]
+
+    @staticmethod
+    def call(name, kind, model_kind):
+        params = np.full((3, 3), 0.3)
+        np.fill_diagonal(params, 0.0)
+        _, call = MODEL_FUNCTIONS[name]
+        return call(getattr(hn, name), hn.Network(params, kind), MODELS[model_kind])
+
+    @pytest.mark.parametrize("name,kind", CASES)
+    def test_rejects_a_model_of_the_other_family(self, name, kind):
+        model = "shaping functions" if kind == hn.MULTIPLICATIVE else "baselines"
+        with pytest.raises(ValueError, match=f"^{model} pair with {OTHER[kind]} networks$"):
+            self.call(name, kind, OTHER[kind])
+
+    @pytest.mark.parametrize("name,kind", CASES)
+    def test_accepts_its_pairing(self, name, kind):
+        self.call(name, kind, kind)
+
+    @pytest.mark.parametrize("fn", SET_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_set_functions_check_the_pairing_on_an_empty_set(self, fn):
+        signed = fn.__name__.startswith("multiplicative")
+        net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE if signed else hn.MULTIPLICATIVE)
+        model = CONST if signed else EXP
+        args = (MASK3, hn.CascadeSet(3, 2.0, ())) if signed else (hn.CascadeSet(3, 2.0, ()),)
+        with pytest.raises(ValueError, match="pair with"):
+            fn(net, model, *args, *([0.1] if "kkt" in fn.__name__ and signed else []))
+
+    @pytest.mark.parametrize(
+        "name", [name for name, (family, _) in MODEL_FUNCTIONS.items() if family]
+    )
+    def test_family_functions_reject_the_other_family(self, name):
+        family, _ = MODEL_FUNCTIONS[name]
+        with pytest.raises(ValueError, match=f"expected an? {family} network"):
+            self.call(name, OTHER[family], OTHER[family])
+
+
 class TestInferenceResult:
     def test_reports_per_column_and_is_frozen(self):
         net = hn.Network(np.zeros((3, 3)), hn.ADDITIVE)
