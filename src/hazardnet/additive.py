@@ -33,6 +33,7 @@ from .types import (
     InferenceResult,
     Network,
     check_model,
+    check_pairing,
     check_universe,
     check_window,
 )
@@ -61,6 +62,7 @@ class AdditiveConfig:
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        check_pairing(self.shaping, ADDITIVE)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0.0:

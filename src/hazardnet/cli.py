@@ -10,6 +10,7 @@ there, and evaluate takes none.
 from __future__ import annotations
 
 import functools
+import math
 
 import click
 import numpy as np
@@ -56,6 +57,17 @@ def _runtime_errors(fn):
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
+
+
+class _FloatRange(click.FloatRange):
+    """A ``click.FloatRange`` that also rejects NaN, which no bound excludes
+    because every comparison with it is false."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if math.isnan(number):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return number
 
 
 def _shaping_options(fn):
@@ -170,15 +182,15 @@ def simulate(network, cascades, window, shaping, delta, baseline, a0, epsilon,
 @click.option("--cascades", "cascades_path", type=click.Path(dir_okay=False), required=True)
 @_shaping_options
 @_baseline_options
-@click.option("--lambda", "l1_penalty", type=click.FloatRange(min=0.0), default=None,
+@click.option("--lambda", "l1_penalty", type=_FloatRange(min=0.0), default=None,
               help="L1 penalty weight (multiplicative; default 0.01*C/N).")
 @click.option("--max-iters", type=click.IntRange(min=1), default=2000, show_default=True)
-@click.option("--tol", type=click.FloatRange(min=0.0, min_open=True), default=1e-8,
+@click.option("--tol", type=_FloatRange(min=0.0, min_open=True), default=1e-8,
               show_default=True,
               help="Stopping tolerance: a column is converged once its KKT residual is at "
                    "most tol * max(1, scale), the scale being the column's largest "
                    "exposure (additive) or co-infection count (multiplicative).")
-@click.option("--edge-threshold", type=click.FloatRange(min=0.0), default=1e-4,
+@click.option("--edge-threshold", type=_FloatRange(min=0.0), default=1e-4,
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
@@ -215,7 +227,7 @@ def infer(model, cascades_path, shaping, delta, baseline, a0, epsilon, l1_penalt
 @main.command()
 @click.option("--true-network", type=click.Path(dir_okay=False), required=True)
 @click.option("--inferred-network", type=click.Path(dir_okay=False), required=True)
-@click.option("--threshold", type=click.FloatRange(min=0.0), default=1e-4, show_default=True)
+@click.option("--threshold", type=_FloatRange(min=0.0), default=1e-4, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 @_runtime_errors
 def evaluate(true_network, inferred_network, threshold, out) -> None:

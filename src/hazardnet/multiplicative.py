@@ -42,6 +42,7 @@ from .types import (
     Network,
     check_kind,
     check_model,
+    check_pairing,
     check_universe,
     check_window,
 )
@@ -74,6 +75,7 @@ class MultiplicativeConfig:
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        check_pairing(self.baseline, MULTIPLICATIVE)
         if self.l1_penalty is not None and not 0.0 <= self.l1_penalty < math.inf:
             raise ValueError("l1_penalty must be finite and nonnegative")
         if self.max_iters < 1:

@@ -143,6 +143,17 @@ class CascadeSet:
         object.__setattr__(self, "window", float(self.window))
         object.__setattr__(self, "num_nodes", int(self.num_nodes))
 
+    @classmethod
+    def _trusted(cls, num_nodes: int, window: float, cascades: tuple[Cascade, ...]) -> "CascadeSet":
+        """A set the caller has already made valid, without the constructor's
+        per-cascade checks: a positive int ``num_nodes``, a positive finite
+        float ``window``, and a tuple of cascades that fit both."""
+        cs = object.__new__(cls)
+        object.__setattr__(cs, "num_nodes", num_nodes)
+        object.__setattr__(cs, "window", window)
+        object.__setattr__(cs, "cascades", cascades)
+        return cs
+
     def __len__(self) -> int:
         return len(self.cascades)
 
@@ -204,15 +215,21 @@ def check_kind(net: Network, kind: str) -> None:
         raise ValueError(f"expected {article} {kind} network, got {net.kind}")
 
 
-def check_model(net: Network, model: Model, kind: str | None = None) -> None:
-    """Reject a model that does not drive ``net``: a shaping function pairs
-    with an additive network, a baseline with a multiplicative one. A caller
-    that serves one model only names its ``kind``."""
+def check_pairing(model: Model, kind: str) -> None:
+    """Reject a model that does not drive networks of ``kind``: a shaping
+    function pairs with additive networks, a baseline with multiplicative
+    ones."""
     if isinstance(model, ShapingFunction):
-        if net.kind != ADDITIVE:
+        if kind != ADDITIVE:
             raise ValueError("shaping functions pair with additive networks")
-    elif net.kind != MULTIPLICATIVE:
+    elif kind != MULTIPLICATIVE:
         raise ValueError("baselines pair with multiplicative networks")
+
+
+def check_model(net: Network, model: Model, kind: str | None = None) -> None:
+    """Reject a model that does not drive ``net`` (see :func:`check_pairing`).
+    A caller that serves one model only names its ``kind``."""
+    check_pairing(model, net.kind)
     if kind is not None:
         check_kind(net, kind)
 

@@ -165,7 +165,7 @@ class TestInferEvaluate:
                   "--cascades", tmp_path / "c.txt", "--out", tmp_path / "o.txt")
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["inf"])
     def test_non_finite_lambda_fails_through_the_config(self, runner, tmp_path, bad):
         _, casc = self._pipeline(
             runner, tmp_path, "multiplicative", extra=("--baseline", "const", "--a0", -1)
@@ -174,6 +174,26 @@ class TestInferEvaluate:
                   "--a0", -1, "--lambda", bad, "--cascades", casc, "--out", tmp_path / "o.txt")
         assert res.exit_code == 1
         assert "l1_penalty" in res.output
+
+    @pytest.mark.parametrize("command, option", [
+        ("evaluate", "--threshold"),
+        ("infer", "--edge-threshold"),
+        ("infer", "--lambda"),
+        ("infer", "--tol"),
+    ])
+    def test_nan_option_is_a_usage_error(self, runner, tmp_path, command, option):
+        # NaN passes every range bound, so the option type rejects it by name;
+        # it fails while the options parse, before any file is read
+        net, casc = self._pipeline(runner, tmp_path, "additive")
+        if command == "evaluate":
+            args = ["--true-network", net, "--inferred-network", net]
+        else:
+            args = ["--model", "additive", "--cascades", casc]
+        out = tmp_path / "out.txt"
+        res = run(runner, command, *args, option, "nan", "--out", out)
+        assert res.exit_code == 2
+        assert "'nan' is not a number" in res.output
+        assert not out.exists()
 
     def test_solver_surface(self, runner):
         # one way to run a fit: no worker count, no unused solver knobs

@@ -265,6 +265,18 @@ class TestCheckModel:
         with pytest.raises(ValueError, match="pair with"):
             fn(net, model, *args, *([0.1] if "kkt" in fn.__name__ and signed else []))
 
+    CONFIGS = {hn.ADDITIVE: hn.AdditiveConfig, hn.MULTIPLICATIVE: hn.MultiplicativeConfig}
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_configs_reject_a_model_of_the_other_family(self, kind):
+        model = "shaping functions" if kind == hn.MULTIPLICATIVE else "baselines"
+        with pytest.raises(ValueError, match=f"^{model} pair with {OTHER[kind]} networks$"):
+            self.CONFIGS[kind](MODELS[OTHER[kind]])
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_configs_accept_their_pairing(self, kind):
+        assert self.CONFIGS[kind](MODELS[kind]).max_iters == 2000
+
     @pytest.mark.parametrize(
         "name", [name for name, (family, _) in MODEL_FUNCTIONS.items() if family]
     )
